@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -116,4 +117,44 @@ func newHostRecord(w *workload, seed uint64, seconds int, trace bool, conns, pro
 		HeavyRPS:     w.heavy,
 		LimitMS:      ms(w.limit),
 	}
+}
+
+// cpuTicks returns the machine's steal time and its total CPU time so
+// far, in clock ticks, from the "cpu" line of /proc/stat (zeros when it
+// cannot be read). Steal is time the hypervisor gave this machine's
+// CPUs to someone else while they had work: a phase's share of it tells
+// a noisy host from a slow program.
+func cpuTicks() (steal, total int64) {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	// user nice system idle iowait irq softirq steal [guest guest_nice,
+	// which user and nice already include]
+	for i, v := range f[1:9] {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return 0, 0
+		}
+		total += n
+		if i == 7 {
+			steal = n
+		}
+	}
+	return steal, total
+}
+
+// stealPct returns the machine's CPU steal, in percent of its CPU time,
+// since cpuTicks returned steal0 and total0 (0 when no time passed).
+func stealPct(steal0, total0 int64) float64 {
+	steal1, total1 := cpuTicks()
+	if total1 <= total0 {
+		return 0
+	}
+	return 100 * float64(steal1-steal0) / float64(total1-total0)
 }

@@ -17,6 +17,10 @@ type result struct {
 	ok       bool // 200 and bit-identical to the reference
 	rejected bool // 503 or 504: refused by admission, the queue or a deadline
 	batched  int  // images in the batch it rode in (0 when unknown)
+	// serverMS is the server's own account of the request (set on a
+	// 200): its request-level stages plus the slowest prediction's
+	// enqueue-to-answer latency. What the client saw beyond it is HTTP.
+	serverMS float64
 }
 
 // sendFunc issues request number k of a phase and waits for its answer.
@@ -107,6 +111,13 @@ type summary struct {
 	LateMS   float64 `json:"late_p99_ms"`
 	Batch    float64 `json:"batch_mean"`
 	Growing  bool    `json:"backlog_growing"`
+	StealPct float64 `json:"steal_pct"`               // the machine's CPU steal over the phase
+	CPUMS    float64 `json:"server_cpu_ms,omitempty"` // server utime+stime over a heavy round
+
+	// Per request, for figures pooled over several phases: latency in
+	// ms (+Inf for a failed or unsent request) and dispatch lateness in
+	// ms.
+	lat, late []float64
 }
 
 // summarize computes a phase's figures against the workload's latency
@@ -144,6 +155,7 @@ func (p *phase) summarize(conns int, limit time.Duration) summary {
 	s.MeanMS = mean(ok)
 	s.LateMS = quantile(late, 0.99)
 	s.Batch = mean(batch)
+	s.lat, s.late = lat, late
 	// The backlog grows when the second half of the schedule added more
 	// than the in-flight window plus half a latency limit's worth of
 	// work at the phase's rate.
@@ -228,7 +240,7 @@ func (t *target) send(ctx context.Context, i int) result {
 		t.note(fmt.Errorf("input %d: %w", i, err))
 		return result{batched: got.batched}
 	}
-	return result{ok: true, batched: got.batched}
+	return result{ok: true, batched: got.batched, serverMS: got.serverMS}
 }
 
 func (t *target) note(err error) {

@@ -120,6 +120,8 @@ type record struct {
 	Host   hostRecord           `json:"host"`
 	Setup  []map[string]float64 `json:"setups"`
 	Phases []summary            `json:"phases"`
+	Pooled map[string]float64   `json:"pooled,omitempty"`
+	Search string               `json:"max_rps_censored,omitempty"`
 	Note   string               `json:"first_failure,omitempty"`
 	Trace  string               `json:"trace_file,omitempty"`
 }
@@ -129,14 +131,13 @@ type output struct {
 	result runResult
 }
 
-// A run sets the server up at least minSetups times and keeps going
-// until setupTime has passed (at most maxSetups times); setup_s is the
-// median. Cheap set-ups are repeated more, which steadies their median.
-const (
-	minSetups = 5
-	maxSetups = 25
-	setupTime = 2 * time.Second
-)
+// A run sets the server up for at least setupTime in all, and at least
+// once before every load round: the set-ups are spread over the run, so
+// their median (setup_s, over the quiet ones) sees the host as the load
+// phases do, not only as it was in the run's first seconds. Cheap
+// set-ups are repeated more (a detect-scene set-up takes about 15 ms, so
+// it runs over a hundred times), which steadies their median.
+const setupTime = 2 * time.Second
 
 func benchmark(ctx context.Context, o options) (output, error) {
 	w, _ := workloadByName(o.workload)
@@ -160,29 +161,36 @@ func benchmark(ctx context.Context, o options) (output, error) {
 		return out, err
 	}
 
-	// Set-up, several times; the last server stays up for the run.
+	// The first set-up's server stays up for the run. The others set up
+	// a server of their own on another file and stop it.
 	snapPath := filepath.Join(dir, "gallery.snap")
-	var srv *server
 	var sts []setupTimes
-	setupStart := time.Now()
-	for i := 0; i < maxSetups && (i < minSetups || time.Since(setupStart) < setupTime); i++ {
-		if srv != nil {
-			srv.stop()
-		}
-		runtime.GC()
-		s, st, err := setUp(ctx, w, o.bin, snapPath, filepath.Join(dir, "snserve.log"), procs)
-		if err != nil {
-			return out, err
-		}
-		srv = s
-		sts = append(sts, st)
+	runtime.GC()
+	steal0, total0 := cpuTicks()
+	srv, st, err := setUp(ctx, w, o.bin, snapPath, filepath.Join(dir, "snserve.log"), procs)
+	if err != nil {
+		return out, err
 	}
 	defer srv.stop()
-	for _, st := range sts {
-		out.record.Setup = append(out.record.Setup, map[string]float64{
-			"setup_s": st.total.Seconds(), "gallery_s": st.gallery.Seconds(), "index_ms": ms(st.index),
-			"save_ms": ms(st.save), "boot_ms": ms(st.boot), "bytes": float64(st.bytes),
-		})
+	st.steal = stealPct(steal0, total0)
+	sts = append(sts, st)
+	// setUps repeats the set-up until d has passed, at least once.
+	setUps := func(ctx context.Context, d time.Duration) error {
+		n := len(sts)
+		steal0, total0 := cpuTicks()
+		for t := time.Now(); time.Since(t) < d || len(sts) == n; {
+			runtime.GC()
+			s, st, err := setUp(ctx, w, o.bin, filepath.Join(dir, "setup.snap"), filepath.Join(dir, "setup.log"), procs)
+			if err != nil {
+				return err
+			}
+			s.stop()
+			sts = append(sts, st)
+		}
+		for i := n; i < len(sts); i++ {
+			sts[i].steal = stealPct(steal0, total0)
+		}
+		return nil
 	}
 
 	h, err := newHarness(ctx, w, snapPath, srv, pool, evalPool, o.conns)
@@ -190,6 +198,11 @@ func benchmark(ctx context.Context, o options) (output, error) {
 		return out, err
 	}
 	defer h.close()
+	h.setUps = func(ctx context.Context) error {
+		err := setUps(ctx, setupTime/rounds)
+		runtime.GC() // the set-up's garbage is not collected during a phase
+		return err
+	}
 	if err := h.evaluate(ctx); err != nil {
 		return out, err
 	}
@@ -204,12 +217,12 @@ func benchmark(ctx context.Context, o options) (output, error) {
 				return out, werr
 			}
 			out.record.Trace = tracePath
-			addSetupLayers(m, sts)
+			addSetupLayers(m, quietSetups(sts))
 		}
 	} else {
 		m, err = h.timed(ctx, budget)
 		if err == nil {
-			m["setup_s"] = median(pick(sts, func(s setupTimes) float64 { return s.total.Seconds() }))
+			m["setup_s"] = median(pick(quietSetups(sts), func(s setupTimes) float64 { return s.total.Seconds() }))
 		}
 	}
 	if err != nil {
@@ -218,8 +231,16 @@ func benchmark(ctx context.Context, o options) (output, error) {
 	if ctx.Err() != nil {
 		return out, errors.New("interrupted")
 	}
+	for _, st := range sts {
+		out.record.Setup = append(out.record.Setup, map[string]float64{
+			"setup_s": st.total.Seconds(), "gallery_s": st.gallery.Seconds(), "index_ms": ms(st.index),
+			"save_ms": ms(st.save), "boot_ms": ms(st.boot), "bytes": float64(st.bytes), "steal_pct": st.steal,
+		})
+	}
 
 	out.record.Phases = h.summaries
+	out.record.Pooled = h.pooled
+	out.record.Search = h.censored
 	for _, t := range []*target{h.evalTgt, h.tgt} {
 		if t.firstBad != nil {
 			out.record.Note = t.firstBad.Error()
@@ -246,7 +267,13 @@ func pick(sts []setupTimes, f func(setupTimes) float64) []float64 {
 	return out
 }
 
-// addSetupLayers adds the set-up split (medians over the run's set-ups).
+// quietSetups returns the set-ups made while the machine's CPU steal
+// was low (see quiet).
+func quietSetups(sts []setupTimes) []setupTimes {
+	return quiet(sts, func(s setupTimes) float64 { return s.steal })
+}
+
+// addSetupLayers adds the set-up split (medians over the given set-ups).
 func addSetupLayers(m map[string]float64, sts []setupTimes) {
 	m["pipeline.gallery_s"] = median(pick(sts, func(s setupTimes) float64 { return s.gallery.Seconds() }))
 	m["pipeline.index_ms"] = median(pick(sts, func(s setupTimes) float64 { return ms(s.index) }))

@@ -57,6 +57,10 @@ func (o *oracle) reference(in input) (reference, error) {
 type served struct {
 	ref     reference
 	batched int // images in the batch the request rode in
+	// serverMS sums the request-level stages_ms (admission, decode and,
+	// on /detect, propose) and the largest per-prediction latency_ms
+	// (enqueue to answer): the handler's time, as the server reports it.
+	serverMS float64
 }
 
 // parseResponse decodes a /classify or /detect response body.
@@ -67,22 +71,37 @@ func parseResponse(endpoint string, body []byte) (served, error) {
 		if err := json.Unmarshal(body, &r); err != nil {
 			return s, fmt.Errorf("decode detect response: %w", err)
 		}
+		var slowest float64
 		for _, g := range r.Regions {
 			s.ref.boxes = append(s.ref.boxes, geom.Rect{MinX: g.Box.X, MinY: g.Box.Y, MaxX: g.Box.X + g.Box.W, MaxY: g.Box.Y + g.Box.H})
 			s.ref.preds = append(s.ref.preds, pipeline.Prediction{Class: synth.Class(g.ClassID), Index: g.View, Score: g.Score})
 			s.batched = g.Batched
+			slowest = max(slowest, g.LatencyMS)
 		}
+		s.serverMS = sumStages(r.StagesMS) + slowest
 		return s, nil
 	}
 	var r serve.ClassifyResponse
 	if err := json.Unmarshal(body, &r); err != nil {
 		return s, fmt.Errorf("decode classify response: %w", err)
 	}
+	var slowest float64
 	for _, p := range r.Predictions {
 		s.ref.preds = append(s.ref.preds, pipeline.Prediction{Class: synth.Class(p.ClassID), Index: p.View, Score: p.Score})
 		s.batched = p.Batched
+		slowest = max(slowest, p.LatencyMS)
 	}
+	s.serverMS = sumStages(r.StagesMS) + slowest
 	return s, nil
+}
+
+// sumStages adds up a response's stage times.
+func sumStages(stages map[string]float64) float64 {
+	var t float64
+	for _, v := range stages {
+		t += v
+	}
+	return t
 }
 
 // mismatch reports how a served answer differs from the reference; nil

@@ -44,6 +44,7 @@ type replay struct {
 	descriptors []float64 // per query
 	pairs       []float64 // query descriptors x indexed rows, per query
 	regions     []float64 // crops per scene
+	serverMS    []float64 // server-reported time of each loopback POST
 }
 
 // spanRef names the span a batcher-side classification belongs to.
@@ -95,6 +96,9 @@ func (r *replay) run(ctx context.Context, req, i int) (result, error) {
 
 	var res result
 	r.rec.timed("serve.http", req, root, func() { res = r.tgt.send(ctx, i) })
+	if res.ok {
+		r.serverMS = append(r.serverMS, res.serverMS)
+	}
 
 	var img *imaging.Image
 	var decErr error
@@ -200,10 +204,10 @@ func (r *replay) layerMetrics(lightMeanMS float64) map[string]float64 {
 		batcher = zeroNaN(mean(self["serve.submit"]))
 		compute = avg("pipeline.propose") + (avg("serve.submit") - batcher)
 	}
-	httpOver := avg("serve.http") - avg("imaging.decode") - avg("serve.submit")
-	if !r.w.hasDesc {
-		httpOver -= avg("pipeline.propose")
-	}
+	// The HTTP layer is what the client waited beyond the time the
+	// server accounts for itself, so the sum below adds up independent
+	// measurements and the remainder is time none of them explains.
+	httpOver := avg("serve.http") - zeroNaN(mean(r.serverMS))*1e3
 	m["serve.batcher_overhead_us"] = batcher
 	m["serve.http_overhead_us"] = httpOver
 	layers := avg("imaging.decode") + compute + batcher + httpOver

@@ -27,6 +27,7 @@ type setupTimes struct {
 	save    time.Duration // snapshot.Save
 	boot    time.Duration // snserve exec to first /healthz 200
 	bytes   int64         // snapshot file size
+	steal   float64       // the machine's CPU steal (%) over the set-up's burst
 }
 
 // setUp renders and prepares the workload's gallery, saves it as a

@@ -78,7 +78,7 @@ var workloads = []*workload{
 		endpoint: "/detect",
 		pipeline: "hybrid",
 		light:    30,
-		heavy:    95,
+		heavy:    85,
 		limit:    100 * time.Millisecond,
 		meta:     snapshot.Meta{Dataset: "sns1", Size: 64, Seed: 1},
 		gallery:  func() *dataset.Set { return dataset.BuildSNS1(dataset.Config{Size: 64, Seed: 1}) },
