@@ -295,13 +295,13 @@ func BenchmarkServeThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			sg := pipeline.NewShardedGallery(s.GallerySNS1, shards)
-			sg.Classify(p, s.SNS2.Samples[0].Image) // build the shard split outside the timing
+			sg.ClassifyStatsCtx(context.Background(), p, s.SNS2.Samples[0].Image) // build the shard split outside the timing
 			b.ResetTimer()
 			start := time.Now()
 			n := 0
 			for i := 0; i < b.N; i++ {
 				for _, q := range s.SNS2.Samples {
-					sg.Classify(p, q.Image)
+					sg.ClassifyStatsCtx(context.Background(), p, q.Image)
 					n++
 				}
 			}

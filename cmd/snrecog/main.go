@@ -60,7 +60,7 @@ func usage() {
       pipelines: random, shape, color, hybrid, sift, surf, orb
   snrecog scene [-classes A,B,C] [-pipeline P] [-occlusion F] [-noise F] [-clutter N] [-seed N] [-out FILE] [-workers N]
       compose a multi-object scene and run detect-then-classify on it
-  snrecog snapshot -out FILE [-set sns1|sns2] [-descriptors sift,surf,orb] [-size N] [-seed N] [-name NAME] [-format 2|1]
+  snrecog snapshot -out FILE [-set sns1|sns2] [-descriptors sift,surf,orb] [-size N] [-seed N] [-name NAME]
       prepare a gallery once and persist it for snserve / -snapshot reuse`)
 	os.Exit(2)
 }
@@ -77,14 +77,10 @@ func cmdSnapshot(args []string) {
 	size := fs.Int("size", 64, "image side in pixels")
 	seed := fs.Uint64("seed", 1, "render seed")
 	name := fs.String("name", "", "registry name stored in the snapshot (default: the set name)")
-	format := fs.Int("format", snapshot.Version, "snapshot format version: 2 (mmap-able, default) or 1 (legacy back-compat)")
 	workers := cliutil.Workers(fs)
 	fs.Parse(args)
 	if *out == "" {
 		log.Fatal("snapshot: -out is required")
-	}
-	if *format != snapshot.Version && *format != snapshot.VersionV1 {
-		log.Fatalf("snapshot: unsupported -format %d (want %d or %d)", *format, snapshot.Version, snapshot.VersionV1)
 	}
 	w := cliutil.ResolveWorkers(*workers)
 	kinds, err := cliutil.ParseDescriptorKinds(*descs)
@@ -110,11 +106,7 @@ func cmdSnapshot(args []string) {
 		Meta:    snapshot.Meta{Dataset: *set, Size: *size, Seed: *seed},
 		Gallery: g,
 	}
-	saveFn := snapshot.Save
-	if *format == snapshot.VersionV1 {
-		saveFn = snapshot.SaveV1
-	}
-	if err := saveFn(*out, snap); err != nil {
+	if err := snapshot.Save(*out, snap); err != nil {
 		log.Fatal(err)
 	}
 	st, err := os.Stat(*out)
@@ -122,7 +114,7 @@ func cmdSnapshot(args []string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (v%d): gallery %q, %d views, %d bytes (prepared in %s)\n",
-		*out, *format, *name, g.Len(), st.Size(), time.Since(start).Round(time.Millisecond))
+		*out, snapshot.Version, *name, g.Len(), st.Size(), time.Since(start).Round(time.Millisecond))
 }
 
 func cmdSheet(args []string) {

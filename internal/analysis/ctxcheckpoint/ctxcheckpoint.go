@@ -7,10 +7,10 @@
 //
 // The granularity mirrors the house style set by the descriptor
 // pipeline: checkpoints sit at stage and shard boundaries
-// (classifyOn's ctxErr between stages, goodMatchCountsCtx's per-shard
-// ctx.Err inside the parallel.ForEach closure), while the inner scan
-// kernels run straight-line with no checks. Accordingly the analyzer
-// checks only the outermost loop of each nest — once a loop
+// (classifyOn's ctxErr between stages, the ShardedIndex fan-out's
+// per-shard ctxErr inside the parallel.ForEach closure), while the
+// inner scan kernels run straight-line with no checks. Accordingly the
+// analyzer checks only the outermost loop of each nest — once a loop
 // checkpoints, the kernels inside it are its business — and treats
 // every function literal handed to the parallel package as its own
 // span, because that closure IS the shard scan and deadline expiry

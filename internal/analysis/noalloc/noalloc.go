@@ -18,7 +18,7 @@
 //   - &T{...} composite literals (heap-escaping pointers)
 //   - string <-> []byte / []rune conversions (copying conversions)
 //   - function literals (the closure environment allocates; hoist to a
-//     named function or method — the matchCounter idiom)
+//     named function or method)
 //   - interface boxing of non-pointer values at call sites (pointers
 //     fit the interface word; values are heap-boxed)
 //

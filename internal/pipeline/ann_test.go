@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -344,7 +345,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 			sg := NewShardedGallery(g, workers)
 			got := make([]Prediction, queries.Len())
 			parallel.ForEach(workers, queries.Len(), func(i int) {
-				got[i] = sg.Classify(p, queries.Samples[i].Image)
+				got[i], _, _ = sg.ClassifyStatsCtx(context.Background(), p, queries.Samples[i].Image)
 			})
 			for i := range want {
 				if got[i] != want[i] {

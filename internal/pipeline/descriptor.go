@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"snmatch/internal/fault"
 	"snmatch/internal/features"
-	"snmatch/internal/features/match"
 	"snmatch/internal/imaging"
 	"snmatch/internal/obs"
 )
@@ -20,13 +18,6 @@ type QueryStats struct {
 	Extract time.Duration // descriptor extraction (PNG-decoded image -> packed query set)
 	Match   time.Duration // index scan / approximate probe
 	Verify  time.Duration // approximate backends' exact shortlist re-scoring
-}
-
-// StatsClassifier is implemented by pipelines that can report per-query
-// timings; the serving layer uses it to expose extract_ms next to the
-// end-to-end latency.
-type StatsClassifier interface {
-	ClassifyStats(img *imaging.Image, g *Gallery) (Prediction, QueryStats)
 }
 
 // Descriptor is the §3.3 pipeline: extract SIFT, SURF or ORB features
@@ -110,23 +101,24 @@ func (p *Descriptor) putCtx(c *ExtractCtx) {
 }
 
 // classifyOn is the single copy of the pooled query protocol — context
-// checkout, timed extraction, count scan over the given index/counter
-// pair, recycle — shared by the flat (Descriptor.ClassifyStats) and
-// sharded (ShardedGallery.ClassifyStats) serving paths so the checkout
-// discipline cannot drift between them.
+// checkout, timed extraction, count scan over the given sharded view of
+// the gallery's matching index, recycle — shared by Descriptor.Classify
+// (one whole-index shard) and ShardedGallery.ClassifyStatsCtx (the
+// gallery's shard split) so the checkout discipline cannot drift
+// between them.
 // The stage trace rides the pooled context (never a fresh heap object):
 // with instrumentation on, extraction and the scan's match/verify split
 // land in ctx.Trace and surface through QueryStats; with it off the
 // backends get a nil trace and skip their clocks entirely.
 //
 // ctx is the request deadline: cancellation checkpoints sit between
-// the stages (before extraction, before the scan, and — on a sharded
-// gallery — before every shard's scan), so an expired request stops
-// burning CPU at the next stage boundary instead of running to
-// completion. The returned error is the context's; a non-nil error
-// means the prediction was not computed. Both checkpoints are plain
-// ctx.Err() calls, so the warm path stays allocation-free.
-func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gallery, ix *DescriptorIndex, mc matchCounter) (Prediction, QueryStats, error) {
+// the stages (before extraction, before the scan, and before every
+// shard's scan), so an expired request stops burning CPU at the next
+// stage boundary instead of running to completion. The returned error
+// is the context's; a non-nil error means the prediction was not
+// computed. Every checkpoint is a plain ctx.Err() call, so the warm
+// path stays allocation-free.
+func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gallery, sx *ShardedIndex) (Prediction, QueryStats, error) {
 	if err := ctxErr(ctx); err != nil {
 		return Prediction{}, QueryStats{}, err
 	}
@@ -140,7 +132,7 @@ func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gall
 	q := ExtractDescriptorsCtx(img, p.Kind, p.Params, c)
 	stats := QueryStats{Extract: time.Since(start)}
 	tr.Set(obs.StageExtract, stats.Extract)
-	pred, err := classifyCounts(ctx, g, ix, mc, q, p.Ratio, tr)
+	pred, err := classifyCounts(ctx, g, sx, q, p.Ratio, tr)
 	stats.Match = tr.Get(obs.StageMatch)
 	stats.Verify = tr.Get(obs.StageVerify)
 	p.putCtx(c)
@@ -148,34 +140,18 @@ func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gall
 }
 
 // Classify implements Pipeline. The per-view good-match counts come
-// from one scan of the flat gallery index per query descriptor; the
-// count scratch is pooled, so steady-state matching allocates nothing
-// per query. An unprepared gallery builds its index on first use
-// through the mutex-guarded cache, so concurrent Classify calls against
-// a shared gallery are safe. Results are identical to brute-force
-// per-view matching (classifyPerView).
+// from one scan of the gallery's matching index (the backend its
+// IndexSpec selects, flat by default) per query descriptor; the count
+// scratch is pooled, so steady-state matching allocates nothing per
+// query. An unprepared gallery builds its index on first use through
+// the mutex-guarded cache, so concurrent Classify calls against a
+// shared gallery are safe. For per-query timings or a request deadline
+// use ShardedGallery.ClassifyStatsCtx.
 func (p *Descriptor) Classify(img *imaging.Image, g *Gallery) Prediction {
-	pred, _ := p.ClassifyStats(img, g)
-	return pred
-}
-
-// ClassifyStats implements StatsClassifier: Classify plus the
-// extraction timing of this query. The scan runs on the matching
-// backend the gallery's IndexSpec selects (flat by default); the count
-// scratch always pools on the flat index, so backend swaps don't change
-// the zero-allocation query path.
-func (p *Descriptor) ClassifyStats(img *imaging.Image, g *Gallery) (Prediction, QueryStats) {
-	pred, stats, _ := p.ClassifyStatsCtx(context.Background(), img, g)
-	return pred, stats
-}
-
-// ClassifyStatsCtx is ClassifyStats under a request deadline: the
-// pipeline checks ctx between stages and returns its error instead of
-// finishing the query. context.Background() (or any never-done ctx)
-// makes it exactly ClassifyStats.
-func (p *Descriptor) ClassifyStatsCtx(ctx context.Context, img *imaging.Image, g *Gallery) (Prediction, QueryStats, error) {
 	mi := g.MatchIndexFor(p.Kind, p.Params)
-	return p.classifyOn(ctx, img, g, mi.Flat(), mi)
+	whole := ShardedIndex{mi: mi, ix: mi.Flat()} // no spans: one scan over every view
+	pred, _, _ := p.classifyOn(context.Background(), img, g, &whole)
+	return pred
 }
 
 // ctxErr is the stage-boundary cancellation checkpoint: nil-context
@@ -187,43 +163,24 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// matchCounter fills per-view good-match counts for one query — the
-// flat index and its sharded wrapper both implement it, which lets
-// classifyCounts stay closure-free on the zero-allocation query path.
-type matchCounter interface {
-	GoodMatchCounts(query *features.Set, ratio float64, counts []int32)
-	GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace)
-}
-
 // classifyCounts runs one good-match-count fill over pooled scratch and
-// selects the winning view — the shared tail of flat and sharded
-// descriptor classification, kept in one place so the first-best
-// tie-break and Score semantics cannot drift between the two paths.
+// selects the winning view, keeping the first-best tie-break and Score
+// semantics in one place.
 //
-// The scan honours ctx: a sharded counter checks it before every
-// shard's scan (skipping the rest once expired), an unsharded one
-// before its single scan. A non-nil error means the counts are
-// incomplete and no prediction is returned — a partially-scanned
-// gallery must never masquerade as a result. The shard-scan fault
-// point fires here too; since a count fill has no error return, an
-// armed error surfaces as a panic for the per-request recovery to
-// convert (latency rules just stretch the scan in place).
+// The scan honours ctx before every shard's scan (skipping the rest
+// once expired). A non-nil error means the counts are incomplete and no
+// prediction is returned — a partially-scanned gallery must never
+// masquerade as a result. The shard-scan fault point fires inside the
+// fan-out; since a count fill has no error return, an armed error
+// surfaces as a panic for the per-request recovery to convert (latency
+// rules just stretch the scan in place).
+//
 //snmatch:noalloc
-func classifyCounts(ctx context.Context, g *Gallery, ix *DescriptorIndex, mc matchCounter, q *features.Set, ratio float64, tr *obs.Trace) (Prediction, error) {
-	countsPtr := ix.getCounts()
+func classifyCounts(ctx context.Context, g *Gallery, sx *ShardedIndex, q *features.Set, ratio float64, tr *obs.Trace) (Prediction, error) {
+	countsPtr := sx.ix.getCounts()
 	counts := *countsPtr
-	var err error
-	if sx, ok := mc.(*ShardedIndex); ok && ctx != nil {
-		err = sx.goodMatchCountsCtx(ctx, q, ratio, counts, tr)
-	} else if err = ctxErr(ctx); err == nil {
-		if ferr := fault.Check(fault.ShardScan); ferr != nil {
-			ix.putCounts(countsPtr)
-			panic(ferr)
-		}
-		mc.GoodMatchCountsTraced(q, ratio, counts, tr)
-	}
-	if err != nil {
-		ix.putCounts(countsPtr)
+	if err := sx.goodMatchCountsCtx(ctx, q, ratio, counts, tr); err != nil {
+		sx.ix.putCounts(countsPtr)
 		return Prediction{}, err
 	}
 	best := Prediction{Index: -1, Score: -1}
@@ -233,28 +190,8 @@ func classifyCounts(ctx context.Context, g *Gallery, ix *DescriptorIndex, mc mat
 			best = Prediction{Class: g.ClassOf(i), Index: i, Score: score}
 		}
 	}
-	ix.putCounts(countsPtr)
+	sx.ix.putCounts(countsPtr)
 	return best, nil
-}
-
-// classifyPerView is the legacy brute-force path — an independent 2-NN
-// match per gallery view — retained as the reference implementation the
-// flat index is verified against in the equivalence tests.
-func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction {
-	q := ExtractDescriptors(img, p.Kind, p.Params)
-	cached := g.descriptorSnapshot(p.Kind)
-	best := Prediction{Index: -1, Score: -1}
-	for i := range g.Views {
-		train := cached[i]
-		if train == nil {
-			train = g.descriptorOf(i, p.Kind, p.Params)
-		}
-		score := float64(match.GoodMatchCount(q, train, p.Ratio))
-		if score > best.Score {
-			best = Prediction{Class: g.ClassOf(i), Index: i, Score: score}
-		}
-	}
-	return best
 }
 
 // Prepare implements Preparer: extracting every gallery descriptor and

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -279,7 +280,7 @@ func TestShardedClassifyStatsMatchesFlat(t *testing.T) {
 		sg := NewShardedGallery(gallery1, shards)
 		for _, sm := range sns2.Samples[:4] {
 			want := p.Classify(sm.Image, gallery1)
-			got, stats := sg.ClassifyStats(p, sm.Image)
+			got, stats, _ := sg.ClassifyStatsCtx(context.Background(), p, sm.Image)
 			if got != want {
 				t.Fatalf("shards=%d: %+v, flat %+v", shards, got, want)
 			}

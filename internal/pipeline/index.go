@@ -272,7 +272,7 @@ func (ix *DescriptorIndex) putCounts(s *[]int32) { ix.counts.Put(s) }
 //
 //snmatch:noalloc
 func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	ix.GoodMatchCountsRange(query, ratio, counts, 0, ix.NumViews)
+	ix.scanRange(query, ratio, counts, 0, ix.NumViews)
 }
 
 // GoodMatchCountsRange is GoodMatchCounts restricted to the views in
@@ -283,9 +283,25 @@ func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, c
 // write disjoint ranges concurrently and still match the full scan bit
 // for bit. Concurrent callers must pass a query whose Packed mirror is
 // already built (extractors do; hand-assembled sets need Set.Pack).
+// The exact scan has no probe/verify split, so with a non-nil tr the
+// whole scan books as match time.
 //
 //snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
+func (ix *DescriptorIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
+	if tr == nil {
+		ix.scanRange(query, ratio, counts, v0, v1)
+		return
+	}
+	start := time.Now()
+	ix.scanRange(query, ratio, counts, v0, v1)
+	tr.Add(obs.StageMatch, time.Since(start))
+}
+
+// scanRange is the untraced exact scan behind GoodMatchCountsRange,
+// also the kernel the approximate backends verify shortlists with.
+//
+//snmatch:noalloc
+func (ix *DescriptorIndex) scanRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
 	for i := v0; i < v1; i++ {
 		counts[i] = 0
 	}
@@ -301,27 +317,6 @@ func (ix *DescriptorIndex) GoodMatchCountsRange(query *features.Set, ratio float
 	} else {
 		ix.floatCounts(qp, ratio, counts, v0, v1)
 	}
-}
-
-// GoodMatchCountsTraced implements MatchIndex: the exact scan has no
-// probe/verify split, so the whole scan books as match time.
-//
-//snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	ix.GoodMatchCountsRangeTraced(query, ratio, counts, 0, ix.NumViews, tr)
-}
-
-// GoodMatchCountsRangeTraced implements MatchIndex.
-//
-//snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
-	if tr == nil {
-		ix.GoodMatchCountsRange(query, ratio, counts, v0, v1)
-		return
-	}
-	start := time.Now()
-	ix.GoodMatchCountsRange(query, ratio, counts, v0, v1)
-	tr.Add(obs.StageMatch, time.Since(start))
 }
 
 func (ix *DescriptorIndex) floatCounts(qp *features.Packed, ratio float64, counts []int32, v0, v1 int) {

@@ -7,6 +7,7 @@ import (
 	"snmatch/internal/dataset"
 	"snmatch/internal/features"
 	"snmatch/internal/features/match"
+	"snmatch/internal/imaging"
 	"snmatch/internal/rng"
 )
 
@@ -206,6 +207,39 @@ func TestClassifyFlatMatchesPerView(t *testing.T) {
 			}
 		}
 	}
+}
+
+// classifyPerView is the legacy brute-force path — an independent 2-NN
+// match per gallery view — kept as the reference implementation the
+// pooled Classify path is verified against.
+func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction {
+	q := ExtractDescriptors(img, p.Kind, p.Params)
+	cached := g.descriptorSnapshot(p.Kind)
+	best := Prediction{Index: -1, Score: -1}
+	for i := range g.Views {
+		train := cached[i]
+		if train == nil {
+			train = g.descriptorOf(i, p.Kind, p.Params)
+		}
+		score := float64(match.GoodMatchCount(q, train, p.Ratio))
+		if score > best.Score {
+			best = Prediction{Class: g.ClassOf(i), Index: i, Score: score}
+		}
+	}
+	return best
+}
+
+// descriptorSnapshot returns every view's cached descriptor set of the
+// given kind under a single read lock (missing entries are nil), so the
+// per-view reference loop runs without per-view locking.
+func (g *Gallery) descriptorSnapshot(kind DescriptorKind) []*features.Set {
+	out := make([]*features.Set, len(g.Views))
+	g.mu.RLock()
+	for i := range g.Views {
+		out[i] = g.Views[i].Desc[kind]
+	}
+	g.mu.RUnlock()
+	return out
 }
 
 // TestRunParallelDescriptorKindsMatchSerial sweeps the determinism

@@ -426,32 +426,20 @@ func (sc *ivfScratch) next() {
 //
 //snmatch:noalloc
 func (iv *IVFIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, 0, iv.ix.NumViews, nil)
+	iv.GoodMatchCountsRange(query, ratio, counts, 0, iv.ix.NumViews, nil)
 }
 
 // GoodMatchCountsRange implements MatchIndex: the flat scan's contract
 // over the nprobe nearest lists. Views outside [v0, v1) are untouched,
-// so sharded fan-out composes exactly as with the flat index.
-//snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, nil)
-}
-
-// GoodMatchCountsTraced implements MatchIndex.
+// so sharded fan-out composes exactly as with the flat index. With a
+// non-nil tr the coarse probe and list scans book as match time and the
+// exact shortlist re-scoring as verify time; the shortlist/probe
+// histograms record just before verification.
 //
 //snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, 0, iv.ix.NumViews, tr)
-}
-
-// GoodMatchCountsRangeTraced implements MatchIndex: the coarse probe
-// and list scans book as match time, the exact shortlist re-scoring as
-// verify time; the shortlist/probe histograms record just before
-// verification.
-//snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
+func (iv *IVFIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
 	if iv.full {
-		iv.ix.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, tr)
+		iv.ix.GoodMatchCountsRange(query, ratio, counts, v0, v1, tr)
 		return
 	}
 	for i := v0; i < v1; i++ {

@@ -28,18 +28,16 @@ type MatchIndex interface {
 	Flat() *DescriptorIndex
 	// IndexKind reports which backend this is (for /healthz and logs).
 	IndexKind() IndexKind
+	// GoodMatchCounts fills counts for every view, untraced.
 	GoodMatchCounts(query *features.Set, ratio float64, counts []int32)
-	GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int)
-	// GoodMatchCountsTraced and GoodMatchCountsRangeTraced are the
-	// instrumented variants: identical counts, but the backend splits
-	// its elapsed time into tr's match (probe/scan) and verify (exact
-	// re-scoring) stages and feeds the aggregate ANN histograms. A nil
-	// trace records stage times nowhere; the untraced methods are
-	// exactly the nil-trace calls. tr accumulates with atomic adds, so
-	// the sharded fan-out's concurrent workers share one trace — its
-	// match/verify stages then read as CPU time, not wall time.
-	GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace)
-	GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace)
+	// GoodMatchCountsRange fills counts for the views in [v0, v1). A
+	// non-nil tr receives the backend's elapsed time split into its
+	// match (probe/scan) and verify (exact re-scoring) stages, and the
+	// aggregate ANN histograms are fed; a nil tr records stage times
+	// nowhere. tr accumulates with atomic adds, so the sharded fan-out's
+	// concurrent workers share one trace — its match/verify stages then
+	// read as CPU time, not wall time.
+	GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace)
 }
 
 // IndexKind enumerates the matching index backends.
@@ -239,7 +237,7 @@ func verifyShortlist(ix *DescriptorIndex, query *features.Set, ratio float64, co
 		for end < v1 && counts[end] > 0 {
 			end++
 		}
-		ix.GoodMatchCountsRange(query, ratio, counts, v, end)
+		ix.scanRange(query, ratio, counts, v, end)
 		v = end
 	}
 }

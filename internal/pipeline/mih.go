@@ -198,23 +198,7 @@ func clearInt32(s []int32) {
 //
 //snmatch:noalloc
 func (mi *MIHIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	mi.GoodMatchCountsRangeTraced(query, ratio, counts, 0, mi.ix.NumViews, nil)
-}
-
-// GoodMatchCountsRange implements MatchIndex: the flat scan's contract
-// over the probed candidate sets. Views outside [v0, v1) are untouched,
-// so sharded fan-out composes exactly as with the flat index.
-//
-//snmatch:noalloc
-func (mi *MIHIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
-	mi.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, nil)
-}
-
-// GoodMatchCountsTraced implements MatchIndex.
-//
-//snmatch:noalloc
-func (mi *MIHIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	mi.GoodMatchCountsRangeTraced(query, ratio, counts, 0, mi.ix.NumViews, tr)
+	mi.GoodMatchCountsRange(query, ratio, counts, 0, mi.ix.NumViews, nil)
 }
 
 // probesPerQueryDescr is the number of bucket visits one query
@@ -232,13 +216,17 @@ func (mi *MIHIndex) probesPerQueryDescr() int {
 	return mi.m * per
 }
 
-// GoodMatchCountsRangeTraced implements MatchIndex: the probe phase
-// books as match time and the exact shortlist re-scoring as verify
-// time; the shortlist/probe histograms record just before verification.
+// GoodMatchCountsRange implements MatchIndex: the flat scan's contract
+// over the probed candidate sets. Views outside [v0, v1) are untouched,
+// so sharded fan-out composes exactly as with the flat index. With a
+// non-nil tr the probe phase books as match time and the exact
+// shortlist re-scoring as verify time; the shortlist/probe histograms
+// record just before verification.
+//
 //snmatch:noalloc
-func (mi *MIHIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
+func (mi *MIHIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
 	if mi.full {
-		mi.ix.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, tr)
+		mi.ix.GoodMatchCountsRange(query, ratio, counts, v0, v1, tr)
 		return
 	}
 	for i := v0; i < v1; i++ {

@@ -78,12 +78,6 @@ func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
 // NumShards returns the number of non-empty shards.
 func (sx *ShardedIndex) NumShards() int { return len(sx.spans) }
 
-// Index returns the underlying flat index.
-func (sx *ShardedIndex) Index() *DescriptorIndex { return sx.ix }
-
-// MatchIndex returns the wrapped matching backend.
-func (sx *ShardedIndex) MatchIndex() MatchIndex { return sx.mi }
-
 // Spans returns a copy of the shard view ranges.
 func (sx *ShardedIndex) Spans() []parallel.Span {
 	out := make([]parallel.Span, len(sx.spans))
@@ -98,60 +92,49 @@ func (sx *ShardedIndex) Spans() []parallel.Span {
 //
 //snmatch:noalloc
 func (sx *ShardedIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	sx.GoodMatchCountsTraced(query, ratio, counts, nil)
+	sx.goodMatchCountsCtx(context.Background(), query, ratio, counts, nil)
 }
 
-// GoodMatchCountsTraced is the traced fan-out: every shard worker adds
-// its own elapsed match/verify time into the shared trace (Trace adds
-// are atomic), so on a multi-shard scan those stages read as CPU time
-// summed across workers, not wall time.
-//
-//snmatch:noalloc
-func (sx *ShardedIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	if len(sx.spans) <= 1 {
-		sx.mi.GoodMatchCountsTraced(query, ratio, counts, tr)
-		return
-	}
-	query.Pack() // build the packed mirror before the fan-out shares it
-	parallel.ForEach(len(sx.spans), len(sx.spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
-		sp := sx.spans[s]
-		sx.mi.GoodMatchCountsRangeTraced(query, ratio, counts, sp.Start, sp.End, tr)
-	})
-}
-
-// goodMatchCountsCtx is the deadline-aware fan-out: every shard worker
-// re-checks ctx before scanning its span and skips the scan once the
-// deadline has expired, so a cancelled request stops burning scan CPU
-// at the next shard boundary instead of finishing the whole gallery.
-// The shard-scan fault point fires per shard (latency rules stretch one
-// shard's scan; error/panic rules panic out of the fan-out for the
-// per-request recovery). A non-nil return means at least one shard was
-// skipped and counts are incomplete — callers must discard them.
+// goodMatchCountsCtx is the one fan-out: every shard worker re-checks
+// ctx before scanning its span and skips the scan once the deadline has
+// expired, so a cancelled request stops burning scan CPU at the next
+// shard boundary instead of finishing the whole gallery. The shard-scan
+// fault point fires per shard (latency rules stretch one shard's scan;
+// error/panic rules panic out of the fan-out for the per-request
+// recovery). Every shard worker adds its own elapsed match/verify time
+// into tr (Trace adds are atomic), so on a multi-shard scan those
+// stages read as CPU time summed across workers, not wall time. A
+// ShardedIndex without spans scans every view in one call. A non-nil
+// return means at least one shard was skipped and counts are
+// incomplete — callers must discard them.
 //
 //snmatch:noalloc
 func (sx *ShardedIndex) goodMatchCountsCtx(ctx context.Context, query *features.Set, ratio float64, counts []int32, tr *obs.Trace) error {
-	if len(sx.spans) <= 1 {
-		if err := ctx.Err(); err != nil {
+	// Local copies keep sx itself out of the fan-out closure, so the
+	// whole-index view Descriptor.Classify builds stays on its stack.
+	mi, spans := sx.mi, sx.spans
+	if len(spans) <= 1 {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
 		if ferr := fault.Check(fault.ShardScan); ferr != nil {
 			panic(ferr)
 		}
-		sx.mi.GoodMatchCountsTraced(query, ratio, counts, tr)
+		mi.GoodMatchCountsRange(query, ratio, counts, 0, sx.ix.NumViews, tr)
 		return nil
 	}
+	// Build the packed mirror before the fan-out shares it.
 	query.Pack()
-	parallel.ForEach(len(sx.spans), len(sx.spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
-		if ctx.Err() != nil {
+	parallel.ForEach(len(spans), len(spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
+		if ctxErr(ctx) != nil {
 			return // deadline expired mid-fan-out; leave the span unscanned
 		}
 		if ferr := fault.Check(fault.ShardScan); ferr != nil {
 			panic(ferr) // re-panicked in the submitting goroutine by parallel.run
 		}
-		sp := sx.spans[s]
-		sx.mi.GoodMatchCountsRangeTraced(query, ratio, counts, sp.Start, sp.End, tr)
+		mi.GoodMatchCountsRange(query, ratio, counts, spans[s].Start, spans[s].End, tr)
 	})
-	return ctx.Err()
+	return ctxErr(ctx)
 }
 
 // ShardedGallery pairs a prepared Gallery with per-kind sharded indexes,
@@ -199,42 +182,23 @@ func (s *ShardedGallery) ShardedIndexFor(kind DescriptorKind, p DescriptorParams
 	return sx
 }
 
-// Classify routes one query through the sharded engine: descriptor
-// pipelines extract once and scan all shards in parallel, every other
-// pipeline runs its ordinary single-threaded Classify. Predictions are
-// bit-identical to the unsharded pipeline at every shard count.
-func (s *ShardedGallery) Classify(p Pipeline, img *imaging.Image) Prediction {
-	pred, _ := s.ClassifyStats(p, img)
-	return pred
-}
-
-// ClassifyStats is Classify plus per-query timings. Descriptor
-// pipelines extract on a pooled context (zero steady-state heap work)
-// and report the extraction time; other pipelines fall back to their
-// own ClassifyStats when they implement StatsClassifier and to plain
-// Classify otherwise.
-func (s *ShardedGallery) ClassifyStats(p Pipeline, img *imaging.Image) (Prediction, QueryStats) {
-	pred, stats, _ := s.ClassifyStatsCtx(context.Background(), p, img)
-	return pred, stats
-}
-
-// ClassifyStatsCtx is ClassifyStats under a request deadline: the
-// descriptor path checks ctx between extraction and the scan and before
-// every shard's scan; other pipelines check it once at entry (their
-// classification is a single unsliceable pass). A non-nil error is
-// the context's, and means no prediction was computed.
+// ClassifyStatsCtx routes one query through the sharded engine under a
+// request deadline and reports its timings. Descriptor pipelines
+// extract once on a pooled context (zero steady-state heap work), scan
+// all shards in parallel and check ctx between extraction and the scan
+// and before every shard's scan; every other pipeline runs its ordinary
+// single-threaded Classify after one ctx check at entry (its
+// classification is a single unsliceable pass) and reports no timings.
+// Predictions are bit-identical to the unsharded pipeline at every
+// shard count. A non-nil error is the context's, and means no
+// prediction was computed.
 func (s *ShardedGallery) ClassifyStatsCtx(ctx context.Context, p Pipeline, img *imaging.Image) (Prediction, QueryStats, error) {
 	d, ok := p.(*Descriptor)
 	if !ok {
 		if err := ctxErr(ctx); err != nil {
 			return Prediction{}, QueryStats{}, err
 		}
-		if sc, ok := p.(StatsClassifier); ok {
-			pred, stats := sc.ClassifyStats(img, s.G)
-			return pred, stats, nil
-		}
 		return p.Classify(img, s.G), QueryStats{}, nil
 	}
-	sx := s.ShardedIndexFor(d.Kind, d.Params)
-	return d.classifyOn(ctx, img, s.G, sx.Index(), sx)
+	return d.classifyOn(ctx, img, s.G, s.ShardedIndexFor(d.Kind, d.Params))
 }

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"snmatch/internal/dataset"
+	"snmatch/internal/fault"
 	"snmatch/internal/features"
 	"snmatch/internal/rng"
 )
@@ -94,8 +97,39 @@ func TestShardedCountsEqualFlat(t *testing.T) {
 	}
 }
 
+// TestShardedGoodMatchCountsChecksFaultPoint pins that the plain
+// ShardedIndex.GoodMatchCounts runs through the one fan-out and so
+// consults the shard-scan fault point like the deadline-aware serving
+// path: an armed error surfaces as a panic carrying fault.ErrInjected,
+// re-panicked in the calling goroutine.
+func TestShardedGoodMatchCountsChecksFaultPoint(t *testing.T) {
+	r := rng.New(5)
+	sets := make([]*features.Set, 9)
+	for i := range sets {
+		sets[i] = randFloatSet(r, 2+r.Intn(6), 16, 6)
+	}
+	sx := NewShardedIndex(NewDescriptorIndex(sets), 3)
+	if sx.NumShards() != 3 {
+		t.Fatalf("fixture split into %d shards, want 3", sx.NumShards())
+	}
+	q := randFloatSet(r, 5, 16, 6)
+	counts := make([]int32, len(sets))
+	defer fault.Disarm()
+	if err := fault.Arm("shard-scan:error"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		rec := recover()
+		err, ok := rec.(error)
+		if !ok || !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("GoodMatchCounts with shard-scan armed: recovered %v, want a panic wrapping fault.ErrInjected", rec)
+		}
+	}()
+	sx.GoodMatchCounts(q, 0.8, counts)
+}
+
 // TestShardedGalleryClassifyEqualsFlat runs real extractors end to end:
-// for every descriptor family, ShardedGallery.Classify must reproduce
+// for every descriptor family, ShardedGallery.ClassifyStatsCtx must reproduce
 // Descriptor.Classify exactly (class, winning view and score) at every
 // shard count. Under -race this also exercises the concurrent shard
 // fan-out against the shared count buffer.
@@ -110,7 +144,7 @@ func TestShardedGalleryClassifyEqualsFlat(t *testing.T) {
 			sg := NewShardedGallery(g, shards)
 			for qi, q := range queries {
 				want := p.Classify(q.Image, g)
-				got := sg.Classify(p, q.Image)
+				got, _, _ := sg.ClassifyStatsCtx(context.Background(), p, q.Image)
 				if got != want {
 					t.Fatalf("%s shards=%d query %d: sharded %+v != flat %+v", kind, shards, qi, got, want)
 				}
@@ -127,7 +161,8 @@ func TestShardedGalleryNonDescriptorPassthrough(t *testing.T) {
 	sg := NewShardedGallery(g, 4)
 	p := DefaultHybrid(WeightedSum)
 	q := dataset.BuildSNS2(cfg).Samples[0]
-	if got, want := sg.Classify(p, q.Image), p.Classify(q.Image, g); got != want {
+	got, _, _ := sg.ClassifyStatsCtx(context.Background(), p, q.Image)
+	if want := p.Classify(q.Image, g); got != want {
 		t.Fatalf("hybrid passthrough: %+v != %+v", got, want)
 	}
 }

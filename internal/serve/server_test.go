@@ -390,20 +390,51 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 }
 
-// TestBatcherSubmitDirect exercises the batcher API without HTTP:
-// overload shedding and post-Close refusal.
+// TestBatcherSubmitDirect exercises the batcher API without HTTP: both
+// lanes of the one classification path — a lone Submit fans out across
+// the gallery shards, a 3-crop scene rides the unsharded batch lane —
+// must reproduce the direct pipeline exactly for descriptor and
+// non-descriptor pipelines at every shard count; then post-Close
+// refusal.
 func TestBatcherSubmitDirect(t *testing.T) {
 	g, queries := fixture(t)
-	sg := pipeline.NewShardedGallery(g, 2)
-	p := pipeline.NewDescriptor(pipeline.ORB, 0.5)
-	b := newBatcher(sg, p, 2, 2, 2, time.Millisecond, nil)
-	res, err := b.Submit(context.Background(), queries.Samples[0].Image)
-	if err != nil {
-		t.Fatal(err)
+	imgs := []*imaging.Image{queries.Samples[0].Image, queries.Samples[1].Image, queries.Samples[2].Image}
+	for _, name := range []string{"orb", "hybrid"} {
+		p, err := ParsePipeline(name, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]pipeline.Prediction, len(imgs))
+		for i, img := range imgs {
+			want[i] = p.Classify(img, g)
+		}
+		for _, shards := range []int{1, 2, 7} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				b := newBatcher(pipeline.NewShardedGallery(g, shards), p, 2, 4, 4, time.Millisecond, nil)
+				defer b.Close()
+				for i, img := range imgs {
+					res, err := b.Submit(context.Background(), img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Batched != 1 || res.Pred != want[i] {
+						t.Fatalf("query %d alone: batched=%d %+v, direct %+v", i, res.Batched, res.Pred, want[i])
+					}
+				}
+				rs, err := b.SubmitSceneWait(context.Background(), imgs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range rs {
+					if res.Batched != len(imgs) || res.Pred != want[i] {
+						t.Fatalf("query %d in batch: batched=%d %+v, direct %+v", i, res.Batched, res.Pred, want[i])
+					}
+				}
+			})
+		}
 	}
-	if want := p.Classify(queries.Samples[0].Image, g); res.Pred != want {
-		t.Fatalf("batcher %+v, direct %+v", res.Pred, want)
-	}
+
+	b := newBatcher(pipeline.NewShardedGallery(g, 2), pipeline.NewDescriptor(pipeline.ORB, 0.5), 2, 2, 2, time.Millisecond, nil)
 	b.Close()
 	if _, err := b.Submit(context.Background(), queries.Samples[0].Image); err == nil {
 		t.Fatal("Submit after Close succeeded")

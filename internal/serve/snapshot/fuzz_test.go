@@ -12,12 +12,6 @@ import (
 	"snmatch/internal/pipeline"
 )
 
-// fixCRCV1 recomputes a mutated v1 payload's checksum so the mutation
-// reaches the decoder instead of dying at the CRC gate.
-func fixCRCV1(b []byte) {
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[12:len(b)-4]))
-}
-
 // fixCRCV2 recomputes a mutated v2 structure stream's checksum.
 func fixCRCV2(b []byte) {
 	structLen := binary.LittleEndian.Uint64(b[offStructLen:])
@@ -46,33 +40,22 @@ func mustFailNotPanic(t *testing.T, label string, raw []byte) {
 // snapshot and re-stamps the checksum, so only the count bound can
 // reject it.
 func TestCraftedLengthBombs(t *testing.T) {
-	rawV1 := snapshotBytesV1(t)
 	rawV2 := snapshotBytes(t)
 
-	// v1 layout: [magic 8][ver 4] name-len(4)+name(1) ds-len(4) size(8)
-	// seed(8) -> view count at a fixed offset for the "x" fixture.
-	nameLen := int(binary.LittleEndian.Uint32(rawV1[12:]))
-	dsLen := int(binary.LittleEndian.Uint32(rawV1[16+nameLen:]))
-	nvOff := 12 + 4 + nameLen + 4 + dsLen + 8 + 8
-
-	t.Run("v1-view-count", func(t *testing.T) {
-		b := append([]byte(nil), rawV1...)
+	t.Run("v2-view-count", func(t *testing.T) {
+		// Structure stream: name, dataset (u32-prefixed strings), size,
+		// seed and the Hu blob offset (8 bytes each), then the view count.
+		nameLen := int(binary.LittleEndian.Uint32(rawV2[headerLenV2:]))
+		dsLen := int(binary.LittleEndian.Uint32(rawV2[headerLenV2+4+nameLen:]))
+		nvOff := headerLenV2 + 4 + nameLen + 4 + dsLen + 8 + 8 + 8
+		b := append([]byte(nil), rawV2...)
+		if nv := binary.LittleEndian.Uint32(b[nvOff:]); nv == 0 || nv > 10000 {
+			t.Fatalf("fixture layout changed: view count field reads %d", nv)
+		}
 		binary.LittleEndian.PutUint32(b[nvOff:], 0xFFFFFFF0)
-		fixCRCV1(b)
-		mustFailNotPanic(t, "view count bomb", b)
-	})
-	t.Run("v1-keypoint-count", func(t *testing.T) {
-		// The first set header follows the first view's fixed fields;
-		// rather than compute its offset, sweep every u32 position in
-		// the payload and inflate it — whichever field it lands on, the
-		// decoder must reject without allocating from the raw value.
-		rng := rand.New(rand.NewSource(1))
-		for trial := 0; trial < 200; trial++ {
-			b := append([]byte(nil), rawV1...)
-			off := 12 + rng.Intn(len(b)-16)
-			binary.LittleEndian.PutUint32(b[off:], 0xFFFFFFF0)
-			fixCRCV1(b)
-			mustFailNotPanic(t, "u32 bomb", b)
+		fixCRCV2(b)
+		if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("view count bomb: got %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("v2-structure-bombs", func(t *testing.T) {
@@ -101,70 +84,63 @@ func TestCraftedLengthBombs(t *testing.T) {
 
 // TestRandomCorruptionSweep is the deterministic fuzz regression: byte
 // flips, truncations and random tail garbage across both format
-// versions must always yield a clean error (or, for flips the CRC
+// must always yield a clean error (or, for flips the CRC
 // cannot see semantics in, a well-formed snapshot) — never a panic or
 // an out-of-bounds slice.
 func TestRandomCorruptionSweep(t *testing.T) {
-	for name, raw := range map[string][]byte{"v1": snapshotBytesV1(t), "v2": snapshotBytes(t)} {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			for trial := 0; trial < 400; trial++ {
-				b := append([]byte(nil), raw...)
-				switch trial % 4 {
-				case 0: // single byte flip anywhere
-					b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
-				case 1: // truncation
-					b = b[:rng.Intn(len(b))]
-				case 2: // flip then re-stamp CRCs so the decoder sees it
-					b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
-					if name == "v1" {
-						if len(b) > 16 {
-							fixCRCV1(b)
-						}
-					} else {
-						fixCRCV2(b)
-					}
-				case 3: // random tail growth
-					extra := make([]byte, 1+rng.Intn(64))
-					rng.Read(extra)
-					b = append(b, extra...)
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("trial %d: decoder panicked: %v", trial, r)
-						}
-					}()
-					snap, err := Read(bytes.NewReader(b))
-					if err == nil {
-						// A mutation the checksums were re-stamped over can
-						// decode; the result must at least be usable.
-						if snap == nil || snap.Gallery == nil {
-							t.Fatalf("trial %d: nil snapshot without error", trial)
-						}
+	raw := snapshotBytes(t)
+	t.Run("v2", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 400; trial++ {
+			b := append([]byte(nil), raw...)
+			switch trial % 4 {
+			case 0: // single byte flip anywhere
+				b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
+			case 1: // truncation
+				b = b[:rng.Intn(len(b))]
+			case 2: // flip then re-stamp CRCs so the decoder sees it
+				b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
+				fixCRCV2(b)
+			case 3: // random tail growth
+				extra := make([]byte, 1+rng.Intn(64))
+				rng.Read(extra)
+				b = append(b, extra...)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("trial %d: decoder panicked: %v", trial, r)
 					}
 				}()
-			}
-		})
-	}
+				snap, err := Read(bytes.NewReader(b))
+				if err == nil {
+					// A mutation the checksums were re-stamped over can
+					// decode; the result must at least be usable.
+					if snap == nil || snap.Gallery == nil {
+						t.Fatalf("trial %d: nil snapshot without error", trial)
+					}
+				}
+			}()
+		}
+	})
 }
 
-// FuzzRead hands the decoder to go's fuzzer, seeded with both format
-// versions and their truncations. The property is the sweep's: no
-// panics, no runaway allocations from wire-controlled lengths.
+// FuzzRead hands the decoder to go's fuzzer, seeded with a valid file,
+// copies re-stamped with an unsupported version, and truncations. The
+// property is the sweep's: no panics, no runaway allocations from
+// wire-controlled lengths.
 func FuzzRead(f *testing.F) {
 	g := pipeline.NewGallery(dataset.BuildSNS1(dataset.Config{Size: 24, Seed: 4}))
 	g.PrepareDescriptors(pipeline.ORB, pipeline.DefaultDescriptorParams())
-	var v1, v2 bytes.Buffer
-	if err := WriteV1(&v1, &Snapshot{Name: "x", Gallery: g}); err != nil {
-		f.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := Write(&v2, &Snapshot{Name: "x", Gallery: g}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	v1 := append([]byte(nil), v2.Bytes()...)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	f.Add(v1)
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:40])
+	f.Add(v1[:40])
 	f.Add(v2.Bytes()[:headerLenV2])
 	f.Add([]byte("SNSNAP\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -34,10 +33,9 @@ type Mapping struct {
 	refs   atomic.Int64
 }
 
-// Map opens, maps and decodes the v2 snapshot at path with zero copies
-// of the packed descriptor payloads. v1 files cannot be mapped — their
-// payload is a serial stream with nothing to alias — and return
-// ErrVersion; load those with Load.
+// Map opens, maps and decodes the snapshot at path with zero copies of
+// the packed descriptor payloads. A file stamped with any version but
+// Version is refused with ErrVersion and unmapped.
 func Map(path string) (*Mapping, error) {
 	if err := fault.Check(fault.SnapshotRead); err != nil {
 		return nil, fmt.Errorf("snapshot: map: %w", err)
@@ -59,14 +57,6 @@ func Map(path string) (*Mapping, error) {
 	data, mapped, err := mapFile(f, int(st.Size()))
 	if err != nil {
 		return nil, err
-	}
-	if len(data) >= 12 && [8]byte(data[:8]) == magic {
-		if v := binary.LittleEndian.Uint32(data[8:12]); v == VersionV1 {
-			if mapped {
-				unmapMem(data)
-			}
-			return nil, fmt.Errorf("%w: v1 snapshots cannot be memory-mapped; use Load (or re-save with the current writer)", ErrVersion)
-		}
 	}
 	// A true mapping skips the blob CRC (checksumming would fault in
 	// every page and void the O(structure) boot); the heap-read

@@ -9,32 +9,19 @@
 // exactness: a loaded gallery produces bit-identical predictions to the
 // gallery that was saved, for every pipeline.
 //
-// Two format versions exist:
-//
-//   - v1 is a single length-prefixed payload stream that Read decodes
-//     field by field into fresh heap slices. The reader is kept for
-//     back-compat; WriteV1/SaveV1 still produce it for older loaders.
-//   - v2 (the default, see v2.go) separates the file into a small
-//     structure stream and an 8-byte-aligned blob region holding the
-//     large numeric payloads, so Map can alias the packed descriptor
-//     matrices straight off a read-only memory mapping with zero
-//     copies: loading a large gallery costs O(structure), not O(bytes).
-//
-// v1 layout:
-//
-//	magic   8 bytes "SNSNAP\r\n"
-//	version uint32 (1)
-//	payload length-prefixed fields (see encode/decode below)
-//	crc32   IEEE checksum of the payload
+// The format (version 2, see v2.go) separates the file into a small
+// structure stream and an 8-byte-aligned blob region holding the large
+// numeric payloads, so Map can alias the packed descriptor matrices
+// straight off a read-only memory mapping with zero copies: loading a
+// large gallery costs O(structure), not O(bytes). Files stamped with
+// any other version are refused with ErrVersion.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,16 +32,11 @@ import (
 	"snmatch/internal/histogram"
 	"snmatch/internal/imaging"
 	"snmatch/internal/pipeline"
-	"snmatch/internal/synth"
 )
 
-// Version is the current snapshot format version, the one Write and
-// Save produce. VersionV1 is the legacy single-stream format; its
-// reader is retained so v1 snapshots keep loading.
-const (
-	Version   = 2
-	VersionV1 = 1
-)
+// Version is the snapshot format version Write and Save produce and
+// Read, Load and Map accept.
+const Version = 2
 
 var magic = [8]byte{'S', 'N', 'S', 'N', 'A', 'P', '\r', '\n'}
 
@@ -109,48 +91,13 @@ type Snapshot struct {
 // after preparation completes.
 func Write(w io.Writer, s *Snapshot) error { return writeV2(w, s) }
 
-// WriteV1 serializes the snapshot in the legacy v1 format — the
-// single-stream layout readers predating Map understand. New snapshots
-// should use Write; this exists so back-compat fixtures can still be
-// produced.
-func WriteV1(w io.Writer, s *Snapshot) error {
-	g := s.Gallery
-	var e enc
-	e.str(s.Name)
-	e.str(s.Meta.Dataset)
-	e.i64(int64(s.Meta.Size))
-	e.u64(s.Meta.Seed)
-	e.u32(uint32(len(g.Views)))
-	for i := range g.Views {
-		encodeViewV1(&e, &g.Views[i])
-	}
-	// The flat indexes are not serialized: NewDescriptorIndex is a pure,
-	// deterministic function of the per-view packed sets already stored
-	// above (including the prune decision, derived from the norm
-	// spread), so persisting them would double the descriptor bytes on
-	// disk. Only the prepared kinds are recorded; Read rebuilds each
-	// index bit-identically from the restored sets.
-	encodeIndexKinds(&e, g)
-
-	var hdr [12]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], VersionV1)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	if _, err := w.Write(e.b); err != nil {
-		return fmt.Errorf("snapshot: write payload: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(e.b))
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("snapshot: write checksum: %w", err)
-	}
-	return nil
-}
-
 // encodeIndexKinds records which flat-index kinds the gallery has
-// prepared (shared tail of both format versions).
+// prepared (the tail of the structure stream). The flat indexes are not
+// serialized: NewDescriptorIndex is a pure, deterministic function of
+// the per-view packed sets (including the prune decision, derived from
+// the norm spread), so persisting them would double the descriptor
+// bytes on disk. Only the prepared kinds are recorded; the loaders
+// rebuild each index bit-identically from the restored sets.
 func encodeIndexKinds(e *enc, g *pipeline.Gallery) {
 	idx := g.Indexes()
 	present := make([]pipeline.DescriptorKind, 0, len(descKinds))
@@ -165,8 +112,8 @@ func encodeIndexKinds(e *enc, g *pipeline.Gallery) {
 	}
 }
 
-// Read deserializes a snapshot of either format version into heap
-// memory. For the v2 zero-copy path use Map.
+// Read deserializes a snapshot into heap memory. For the zero-copy
+// path use Map.
 func Read(r io.Reader) (*Snapshot, error) {
 	if err := fault.Check(fault.SnapshotRead); err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
@@ -175,68 +122,10 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
-	if len(raw) < 16 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrCorrupt, len(raw))
-	}
-	if [8]byte(raw[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	switch v := binary.LittleEndian.Uint32(raw[8:12]); v {
-	case VersionV1:
-		return readV1(raw)
-	case Version:
-		// Heap loads alias the read buffer too (one backing array, no
-		// per-field copies); it just lives on the GC heap instead of a
-		// mapping, so nothing is marked borrowed.
-		return readV2(ensureAligned8(raw), true, false)
-	default:
-		return nil, fmt.Errorf("%w: file version %d, supported versions %d and %d", ErrVersion, v, VersionV1, Version)
-	}
-}
-
-// minViewEncV1 is the smallest on-disk footprint of one v1 view
-// (sample ids, image flag, Hu block, histogram flag, descriptor
-// count); the view count is bounded against it before allocation.
-const minViewEncV1 = 3*8 + 1 + 7*8 + 1 + 1
-
-// readV1 decodes the legacy single-stream format.
-func readV1(raw []byte) (*Snapshot, error) {
-	payload := raw[12 : len(raw)-4]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, recorded %08x", ErrCorrupt, got, want)
-	}
-
-	d := &dec{b: payload}
-	out := &Snapshot{}
-	out.Name = d.str()
-	out.Meta.Dataset = d.str()
-	out.Meta.Size = int(d.i64())
-	out.Meta.Seed = d.u64()
-	nv := d.count(int(d.u32()), minViewEncV1)
-	var views []pipeline.View
-	if d.err == nil {
-		views = make([]pipeline.View, nv)
-		for i := range views {
-			decodeViewV1(d, &views[i])
-			if d.err != nil {
-				break
-			}
-		}
-	}
-	indexKinds := decodeIndexKinds(d)
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("%d trailing bytes", len(d.b)-d.off)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	idx, err := buildIndexes(views, indexKinds, nil)
-	if err != nil {
-		return nil, err
-	}
-	out.Gallery = pipeline.RestoreGallery(views, idx)
-	return out, nil
+	// Heap loads alias the read buffer too (one backing array, no
+	// per-field copies); it just lives on the GC heap instead of a
+	// mapping, so nothing is marked borrowed.
+	return readV2(ensureAligned8(raw), true, false)
 }
 
 // decodeIndexKinds reads the recorded flat-index kind list.
@@ -298,9 +187,6 @@ func buildIndexes(views []pipeline.View, kinds []pipeline.DescriptorKind, region
 // zero-length or torn file under the final name. No temp file is left
 // behind on any error path.
 func Save(path string, s *Snapshot) error { return save(path, s, Write) }
-
-// SaveV1 is Save in the legacy v1 format (see WriteV1).
-func SaveV1(path string, s *Snapshot) error { return save(path, s, WriteV1) }
 
 func save(path string, s *Snapshot, write func(io.Writer, *Snapshot) error) error {
 	dir := filepath.Dir(path)
@@ -374,43 +260,6 @@ func Load(path string) (*Snapshot, error) {
 	return snap, err
 }
 
-// --- view encoding (v1) ---
-
-func encodeViewV1(e *enc, v *pipeline.View) {
-	e.i64(int64(v.Sample.Class))
-	e.i64(int64(v.Sample.Model))
-	e.i64(int64(v.Sample.View))
-	if img := v.Sample.Image; img != nil {
-		e.u8(1)
-		e.u32(uint32(img.W))
-		e.u32(uint32(img.H))
-		e.bytes(img.Pix)
-	} else {
-		e.u8(0)
-	}
-	for _, h := range v.Hu {
-		e.f64(h)
-	}
-	if h := v.Hist; h != nil {
-		e.u8(1)
-		e.u32(uint32(h.Bins))
-		e.f64s(h.Counts)
-	} else {
-		e.u8(0)
-	}
-	present := make([]pipeline.DescriptorKind, 0, len(descKinds))
-	for _, k := range descKinds {
-		if v.Desc[k] != nil {
-			present = append(present, k)
-		}
-	}
-	e.u8(uint8(len(present)))
-	for _, k := range present {
-		e.u8(uint8(k))
-		encodeSetV1(e, v.Desc[k])
-	}
-}
-
 // maxImageSide bounds a decoded view image's width and height. The
 // gallery renders are small (tens to hundreds of pixels); the bound
 // exists so a crafted width/height pair cannot overflow the 3*w*h pixel
@@ -420,46 +269,8 @@ func encodeViewV1(e *enc, v *pipeline.View) {
 // on every GOARCH, not just 64-bit ones.
 const maxImageSide = 1 << 14
 
-func decodeViewV1(d *dec, v *pipeline.View) {
-	v.Sample.Class = synth.Class(d.i64())
-	v.Sample.Model = int(d.i64())
-	v.Sample.View = int(d.i64())
-	if d.u8() == 1 {
-		w, h := int(d.u32()), int(d.u32())
-		pix := d.bytes()
-		if d.err == nil {
-			if img := restoreImage(d, w, h, pix); img != nil {
-				v.Sample.Image = img
-			} else {
-				return
-			}
-		}
-	}
-	for i := range v.Hu {
-		v.Hu[i] = d.f64()
-	}
-	if d.u8() == 1 {
-		bins := int(d.u32())
-		counts := d.f64s()
-		if d.err == nil {
-			if h := restoreHist(d, bins, counts); h != nil {
-				v.Hist = h
-			} else {
-				return
-			}
-		}
-	}
-	v.Desc = map[pipeline.DescriptorKind]*features.Set{}
-	for n := int(d.u8()); n > 0 && d.err == nil; n-- {
-		k := pipeline.DescriptorKind(d.u8())
-		if s := decodeSetV1(d); d.err == nil {
-			v.Desc[k] = s
-		}
-	}
-}
-
 // restoreImage validates decoded image dimensions against their pixel
-// payload (shared by both format versions) and assembles the image.
+// payload and assembles the image.
 // It fails the decoder and returns nil on mismatch.
 func restoreImage(d *dec, w, h int, pix []byte) *imaging.Image {
 	if w <= 0 || h <= 0 || w > maxImageSide || h > maxImageSide || len(pix) != 3*w*h {
@@ -469,8 +280,7 @@ func restoreImage(d *dec, w, h int, pix []byte) *imaging.Image {
 	return &imaging.Image{W: w, H: h, Pix: pix}
 }
 
-// restoreHist validates a decoded histogram shape (shared by both
-// format versions).
+// restoreHist validates a decoded histogram shape.
 func restoreHist(d *dec, bins int, counts []float64) *histogram.Hist {
 	if bins < 1 || bins > 256 || len(counts) != bins*bins*bins {
 		d.fail("histogram bins %d with %d cells", bins, len(counts))
@@ -479,78 +289,11 @@ func restoreHist(d *dec, bins int, counts []float64) *histogram.Hist {
 	return &histogram.Hist{Bins: bins, Counts: counts}
 }
 
-// --- descriptor set encoding (v1) ---
-
 func b2u8(v bool) uint8 {
 	if v {
 		return 1
 	}
 	return 0
-}
-
-// keypointEnc is the fixed on-disk size of one keypoint (5 float32
-// fields plus the octave int64).
-const keypointEnc = 5*4 + 8
-
-func encodeSetV1(e *enc, s *features.Set) {
-	p := s.Pack().Packed
-	// The representation flag disambiguates empty sets: an empty binary
-	// set and an empty float set have identical packed shapes but must
-	// restore to their original representation.
-	e.u8(b2u8(s.IsBinary()))
-	e.u32(uint32(len(s.Keypoints)))
-	encodeKeypoints(e, s.Keypoints)
-	e.u32(uint32(p.N))
-	e.u32(uint32(p.Dim))
-	e.u32(uint32(p.RowBytes))
-	e.u32(uint32(p.WordsPerRow))
-	e.f32s(p.Floats)
-	e.f32s(p.Norms)
-	e.u64s(p.Words)
-}
-
-func encodeKeypoints(e *enc, kps []features.Keypoint) {
-	for _, kp := range kps {
-		e.f32(kp.X)
-		e.f32(kp.Y)
-		e.f32(kp.Size)
-		e.f32(kp.Angle)
-		e.f32(kp.Response)
-		e.i64(int64(kp.Octave))
-	}
-}
-
-// decodeKeypoints length-bounds and decodes a keypoint block (shared
-// by both format versions). The whole block is taken in one bounds
-// check and decoded field-wise off it — keypoints are the largest
-// structure-stream item, so this loop is the mapped load's hot path —
-// and the slice comes off the restore slab when one is supplied.
-// Empty decodes as nil for exact round trips.
-func decodeKeypoints(d *dec, a *features.RestoreAlloc) []features.Keypoint {
-	nk := d.count(int(d.u32()), keypointEnc)
-	if d.err != nil || nk == 0 {
-		return nil
-	}
-	raw := d.take(nk * keypointEnc)
-	if raw == nil {
-		return nil
-	}
-	var kps []features.Keypoint
-	if a != nil {
-		kps = a.Keypoints(nk)
-	} else {
-		kps = make([]features.Keypoint, nk)
-	}
-	for i := range kps {
-		f := raw[i*keypointEnc : (i+1)*keypointEnc]
-		kps[i].X = math.Float32frombits(binary.LittleEndian.Uint32(f))
-		kps[i].Y = math.Float32frombits(binary.LittleEndian.Uint32(f[4:]))
-		kps[i].Size = math.Float32frombits(binary.LittleEndian.Uint32(f[8:]))
-		kps[i].Angle = math.Float32frombits(binary.LittleEndian.Uint32(f[12:]))
-		kps[i].Response = math.Float32frombits(binary.LittleEndian.Uint32(f[16:]))
-		kps[i].Octave = int(int64(binary.LittleEndian.Uint64(f[20:])))
-	}
-	return kps
 }
 
 // checkPackedShape validates a decoded packed block against its
@@ -583,33 +326,6 @@ func checkPackedShape(d *dec, p *features.Packed, isBinary bool, nk int) bool {
 	return ok
 }
 
-func decodeSetV1(d *dec) *features.Set {
-	isBinary := d.u8() == 1
-	kps := decodeKeypoints(d, nil)
-	if d.err != nil {
-		return nil
-	}
-	p := &features.Packed{
-		N:        int(d.u32()),
-		Dim:      int(d.u32()),
-		RowBytes: int(d.u32()),
-	}
-	p.WordsPerRow = int(d.u32())
-	p.Floats = d.f32s()
-	p.Norms = d.f32s()
-	p.Words = d.u64s()
-	if d.err != nil {
-		return nil
-	}
-	if isBinary && p.Words == nil {
-		p.Words = []uint64{} // Pack always materialises Words for binary sets
-	}
-	if !checkPackedShape(d, p, isBinary, len(kps)) {
-		return nil
-	}
-	return features.RestoreSet(kps, p)
-}
-
 // --- primitive little-endian encoder/decoder ---
 
 type enc struct{ b []byte }
@@ -618,37 +334,9 @@ func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f32(v float32) {
-	e.u32(math.Float32bits(v))
-}
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
-}
-func (e *enc) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *enc) f32s(v []float32) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u32(math.Float32bits(x))
-	}
-}
-func (e *enc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u64(math.Float64bits(x))
-	}
-}
-func (e *enc) u64s(v []uint64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u64(x)
-	}
 }
 
 type dec struct {
@@ -712,70 +400,8 @@ func (d *dec) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(v)
 }
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *dec) i64() int64 { return int64(d.u64()) }
 func (d *dec) str() string {
 	n := int(d.u32())
 	return string(d.take(n))
-}
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if n == 0 {
-		return nil // nil and empty encode identically; decode to nil for exact round trips
-	}
-	v := d.take(n)
-	if v == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
-}
-func (d *dec) f32s() []float32 {
-	// count first: on 32-bit targets n*4 can overflow int and slip a
-	// huge n past take's byte bound into the make below.
-	n := d.count(int(d.u32()), 4)
-	if n == 0 {
-		return nil // nil and empty encode identically; decode to nil for exact round trips
-	}
-	raw := d.take(n * 4)
-	if raw == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out
-}
-func (d *dec) f64s() []float64 {
-	n := d.count(int(d.u32()), 8) // pre-bounds n*8 against 32-bit overflow
-	if n == 0 {
-		return nil // nil and empty encode identically; decode to nil for exact round trips
-	}
-	raw := d.take(n * 8)
-	if raw == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out
-}
-func (d *dec) u64s() []uint64 {
-	n := d.count(int(d.u32()), 8) // pre-bounds n*8 against 32-bit overflow
-	if n == 0 {
-		return nil // nil and empty encode identically; decode to nil for exact round trips
-	}
-	raw := d.take(n * 8)
-	if raw == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	return out
 }

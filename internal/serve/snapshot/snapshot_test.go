@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -180,18 +179,13 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// snapshotBytes returns a small valid (v2) snapshot to corrupt.
-func snapshotBytes(t *testing.T) []byte { return snapshotBytesWith(t, Write) }
-
-// snapshotBytesV1 is snapshotBytes in the legacy format.
-func snapshotBytesV1(t *testing.T) []byte { return snapshotBytesWith(t, WriteV1) }
-
-func snapshotBytesWith(t *testing.T, write func(io.Writer, *Snapshot) error) []byte {
+// snapshotBytes returns a small valid snapshot to corrupt.
+func snapshotBytes(t *testing.T) []byte {
 	t.Helper()
 	g := pipeline.NewGallery(dataset.BuildSNS1(dataset.Config{Size: 24, Seed: 4}))
 	g.PrepareDescriptors(pipeline.ORB, pipeline.DefaultDescriptorParams())
 	var buf bytes.Buffer
-	if err := write(&buf, &Snapshot{Name: "x", Gallery: g}); err != nil {
+	if err := Write(&buf, &Snapshot{Name: "x", Gallery: g}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -225,21 +219,8 @@ func TestCorruptPayload(t *testing.T) {
 // index-kind list (ORB -> SIFT, with a fixed-up checksum) and checks the
 // loader refuses to rebuild an index whose descriptor sets were never
 // stored, instead of handing out a gallery that would crash at query
-// time — in both format versions.
+// time.
 func TestIndexKindWithoutDescriptors(t *testing.T) {
-	t.Run("v1", func(t *testing.T) {
-		raw := snapshotBytesV1(t) // ORB is the only prepared kind
-		kindOff := len(raw) - 5   // ... [count u8][kind u8][crc32]
-		if raw[kindOff-1] != 1 || raw[kindOff] != uint8(pipeline.ORB) {
-			t.Fatalf("fixture layout changed: tail bytes % x", raw[len(raw)-8:])
-		}
-		raw[kindOff] = uint8(pipeline.SIFT)
-		sum := crc32.ChecksumIEEE(raw[12 : len(raw)-4])
-		binary.LittleEndian.PutUint32(raw[len(raw)-4:], sum)
-		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("index kind without stored descriptors: got %v, want ErrCorrupt", err)
-		}
-	})
 	t.Run("v2", func(t *testing.T) {
 		raw := snapshotBytes(t) // v2: the kind list ends the structure stream
 		structLen := int(binary.LittleEndian.Uint64(raw[offStructLen:]))

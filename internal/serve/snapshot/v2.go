@@ -387,14 +387,17 @@ type regionTally struct {
 // selects whether the blob CRC is checked (heap loads) or skipped
 // (mapped loads stay O(structure)).
 func readV2(raw []byte, verifyBlob, borrowed bool) (*Snapshot, error) {
-	if len(raw) < headerLenV2 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than a v2 header", ErrCorrupt, len(raw))
+	if len(raw) < 12 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrCorrupt, len(raw))
 	}
 	if [8]byte(raw[:8]) != magic {
 		return nil, ErrBadMagic
 	}
 	if v := binary.LittleEndian.Uint32(raw[8:12]); v != Version {
-		return nil, fmt.Errorf("%w: file version %d, this path supports version %d", ErrVersion, v, Version)
+		return nil, fmt.Errorf("%w: file version %d, supported version %d", ErrVersion, v, Version)
+	}
+	if len(raw) < headerLenV2 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than a v2 header", ErrCorrupt, len(raw))
 	}
 	structLen := binary.LittleEndian.Uint64(raw[offStructLen:])
 	blobLen := binary.LittleEndian.Uint64(raw[offBlobLen:])

@@ -79,55 +79,34 @@ func galleriesEqual(t *testing.T, label string, a, b *pipeline.Gallery) {
 	}
 }
 
-// TestV1V2Compat pins cross-version compatibility: the same gallery
-// written in both formats restores identically through Read, so v1
-// fixtures keep loading next to v2 ones.
-func TestV1V2Compat(t *testing.T) {
-	g := prepared(t)
-	snap := &Snapshot{Name: "x", Meta: Meta{Dataset: "sns1", Size: 40, Seed: 2}, Gallery: g}
-	var b1, b2 bytes.Buffer
-	if err := WriteV1(&b1, snap); err != nil {
-		t.Fatalf("WriteV1: %v", err)
-	}
-	if err := Write(&b2, snap); err != nil {
+// TestVersionGate pins the format gate: a file stamped with any version
+// but the current one — the retired v1 or a future v3 — is refused with
+// ErrVersion by every loader. The version check runs before any
+// checksum: both recorded CRCs are spoiled too, and must not be what
+// rejects the file.
+func TestVersionGate(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Name: "x", Meta: Meta{Dataset: "sns1", Size: 40, Seed: 2}, Gallery: prepared(t)}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if v := binary.LittleEndian.Uint32(b1.Bytes()[8:12]); v != VersionV1 {
-		t.Fatalf("WriteV1 stamped version %d", v)
-	}
-	if v := binary.LittleEndian.Uint32(b2.Bytes()[8:12]); v != Version {
-		t.Fatalf("Write stamped version %d", v)
-	}
-	s1, err := Read(bytes.NewReader(b1.Bytes()))
-	if err != nil {
-		t.Fatalf("Read v1: %v", err)
-	}
-	s2, err := Read(bytes.NewReader(b2.Bytes()))
-	if err != nil {
-		t.Fatalf("Read v2: %v", err)
-	}
-	if s1.Name != s2.Name || s1.Meta != s2.Meta {
-		t.Fatalf("header mismatch: v1 %+v/%+v, v2 %+v/%+v", s1.Name, s1.Meta, s2.Name, s2.Meta)
-	}
-	galleriesEqual(t, "v1-vs-v2", s1.Gallery, s2.Gallery)
-}
-
-// TestMapRefusesV1 pins the version gate from the other side: a v1
-// file has nothing to alias, so Map must refuse it with ErrVersion
-// (and a v1-only reader refuses v2 files the same way — the shared
-// version field is what both gates key on).
-func TestMapRefusesV1(t *testing.T) {
-	g := prepared(t)
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	if err := SaveV1(path, &Snapshot{Name: "v1", Meta: Meta{Dataset: "sns1", Size: 40, Seed: 2}, Gallery: g}); err != nil {
-		t.Fatalf("SaveV1: %v", err)
-	}
-	if _, err := Map(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Map(v1): got %v, want ErrVersion", err)
-	}
-	// The heap loader still takes it.
-	if _, err := Load(path); err != nil {
-		t.Fatalf("Load(v1): %v", err)
+	for _, v := range []uint32{1, 3} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(raw[8:12], v)
+		raw[offStructCRC] ^= 0xFF
+		raw[offBlobCRC] ^= 0xFF
+		path := filepath.Join(t.TempDir(), "v.snap")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+			t.Errorf("Read(version %d): got %v, want ErrVersion", v, err)
+		}
+		if _, err := Load(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("Load(version %d): got %v, want ErrVersion", v, err)
+		}
+		if _, err := Map(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("Map(version %d): got %v, want ErrVersion", v, err)
+		}
 	}
 }
 
