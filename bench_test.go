@@ -850,15 +850,15 @@ func getANNBench(b *testing.B) *annBenchFixture {
 const annRatio = 0.5
 
 // BenchmarkANNRecall is the recall-vs-speedup axis of the approximate
-// matching backends: per descriptor family it times pure matching
+// matching backend: per descriptor family it times pure matching
 // (query sets pre-extracted) through the flat scan and through the
-// default-setting ANN backend over the same 440-view gallery, and
-// reports the backend's recall@1 against the flat argmax plus its
-// measured single-worker speedup. The flat sub-benches are the
-// baseline rows; mih/ivf rows carry the recall and speedup metrics the
-// CI smoke gates on (ivf/SIFT is the gating row — SIFT is the paper's
-// primary descriptor, and low-entropy synthetic ORB codes keep the
-// flat Hamming scan competitive with any bucketed probe).
+// default-setting IVF backend over the same 440-view gallery, and
+// reports IVF's recall@1 against the flat argmax plus its measured
+// single-worker speedup. The flat sub-benches are the baseline rows;
+// the ivf rows carry the recall and speedup metrics the CI smoke gates
+// on (ivf/SIFT is the gating row — SIFT is the paper's primary
+// descriptor; ivf/ORB quantizes the binary rows with k-majority
+// centroids).
 //
 // Each timed iteration is a full pass over all queries, so ns/op (and
 // the flat-vs-ANN ratio) is stable at small -benchtime counts instead
@@ -901,15 +901,9 @@ func BenchmarkANNRecall(b *testing.B) {
 		b.Run("flat/"+kind.String(), func(b *testing.B) {
 			flatNs = time1(b, ix, kind)
 		})
-		var ann pipeline.MatchIndex
-		var name string
-		if kind == pipeline.ORB {
-			ann, name = pipeline.NewMIHIndex(ix, pipeline.MIHParams{}), "mih"
-		} else {
-			ann, name = pipeline.NewIVFIndex(ix, pipeline.IVFParams{}), "ivf"
-		}
+		ann := pipeline.NewIVFIndex(ix, pipeline.IVFParams{})
 		rec := recall(ann, kind)
-		b.Run(name+"/"+kind.String(), func(b *testing.B) {
+		b.Run("ivf/"+kind.String(), func(b *testing.B) {
 			annNs := time1(b, ann, kind)
 			b.ReportMetric(rec, "recall")
 			if annNs > 0 && flatNs > 0 {

@@ -11,10 +11,6 @@ import (
 	"snmatch/internal/rng"
 )
 
-// fullProbeMIH is an MIH spec whose radius covers the whole substring:
-// the backend must delegate to the flat kernel and be bit-identical.
-var fullProbeMIH = IndexSpec{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 16}}
-
 // fullProbeIVF probes more lists than any gallery builds: bit-identical
 // delegation to the flat kernel.
 var fullProbeIVF = IndexSpec{Kind: IVFKind, IVF: IVFParams{NProbe: 1 << 20}}
@@ -35,8 +31,9 @@ func randGallerySets(r *rng.RNG, nViews int, binary bool, vocab int) []*features
 }
 
 // TestFullProbeBitIdenticalToFlat is the house determinism contract for
-// both backends: at full-probe settings, counts must equal the flat
-// scan bit for bit — directly and through every sharded fan-out width.
+// the approximate backend over both row representations: at full-probe
+// settings, counts must equal the flat scan bit for bit — directly and
+// through every sharded fan-out width.
 func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 	r := rng.New(977)
 	for trial := 0; trial < 12; trial++ {
@@ -44,14 +41,9 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 		vocab := 2 + r.Intn(9)
 		sets := randGallerySets(r, 1+r.Intn(10), binary, vocab)
 		ix := NewDescriptorIndex(sets)
-		// IVF quantizes both representations; MIH applies to binary rows.
-		spec := fullProbeIVF
-		if binary && trial%4 == 1 {
-			spec = fullProbeMIH
-		}
-		mi := buildMatchIndex(ix, spec)
+		mi := buildMatchIndex(ix, fullProbeIVF)
 		if ix.Len() > 0 && mi == MatchIndex(ix) {
-			t.Fatalf("trial %d: full-probe spec %v built no backend", trial, spec)
+			t.Fatalf("trial %d: full-probe spec %v built no backend", trial, fullProbeIVF)
 		}
 		var query *features.Set
 		if binary {
@@ -78,43 +70,6 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 						t.Fatalf("trial %d (binary=%v) ratio %v shards=%d view %d: %d != %d",
 							trial, binary, ratio, shards, v, got[v], want[v])
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestMIHZeroPaddedRowsExactAtRadiusZero pins the non-delegating probe
-// path against the flat scan where equality is provable: 4-byte rows
-// pack into one 64-bit word whose upper substrings are all zero, so the
-// zero-key buckets of those tables hold every indexable row and the
-// candidate set is always complete. Radius 0 must then reproduce the
-// flat counts exactly — any drift is a bug in the probe/fold
-// arithmetic, not approximation.
-func TestMIHZeroPaddedRowsExactAtRadiusZero(t *testing.T) {
-	r := rng.New(431)
-	for trial := 0; trial < 10; trial++ {
-		sets := make([]*features.Set, 1+r.Intn(8))
-		for v := range sets {
-			sets[v] = randBinarySet(r, r.Intn(9), 4)
-		}
-		ix := NewDescriptorIndex(sets)
-		if ix.Len() == 0 {
-			continue
-		}
-		mi := NewMIHIndex(ix, MIHParams{SubstrBits: 16, Radius: -1}) // -1 clamps to 0
-		if mi.full {
-			t.Fatal("radius 0 must not delegate")
-		}
-		query := randBinarySet(r, 1+r.Intn(8), 4)
-		want := make([]int32, ix.NumViews)
-		got := make([]int32, ix.NumViews)
-		for _, ratio := range []float64{0.5, 0.8, 1.0} {
-			ix.GoodMatchCounts(query, ratio, want)
-			mi.GoodMatchCounts(query, ratio, got)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("trial %d ratio %v view %d: %d != %d", trial, ratio, v, got[v], want[v])
 				}
 			}
 		}
@@ -155,57 +110,50 @@ func TestIVFDegenerateClustersExact(t *testing.T) {
 	}
 }
 
-// TestBuildMatchIndexFallbacks: wrong representation or an empty index
-// must fall back to the flat scan rather than build a dead backend.
+// TestBuildMatchIndexFallbacks: IVF builds over either representation,
+// and only an empty index falls back to the flat scan rather than build
+// a dead backend.
 func TestBuildMatchIndexFallbacks(t *testing.T) {
 	r := rng.New(11)
 	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8)})
 	binIx := NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32)})
 	emptyIx := NewDescriptorIndex(nil)
 
-	if mi := buildMatchIndex(floatIx, IndexSpec{Kind: MIHKind}); mi != MatchIndex(floatIx) {
-		t.Fatal("MIH over float rows must fall back to the flat index")
+	if _, ok := buildMatchIndex(floatIx, IndexSpec{Kind: IVFKind}).(*IVFIndex); !ok {
+		t.Fatal("IVF over float rows must build the L2-quantized backend")
 	}
 	if _, ok := buildMatchIndex(binIx, IndexSpec{Kind: IVFKind}).(*IVFIndex); !ok {
 		t.Fatal("IVF over binary rows must build the Hamming-quantized backend")
 	}
-	if mi := buildMatchIndex(emptyIx, IndexSpec{Kind: MIHKind}); mi != MatchIndex(emptyIx) {
+	if mi := buildMatchIndex(emptyIx, IndexSpec{Kind: IVFKind}); mi != MatchIndex(emptyIx) {
 		t.Fatal("empty gallery must fall back to the flat index")
 	}
 	if k := floatIx.IndexKind(); k != ExactKind {
 		t.Fatalf("flat index kind = %v", k)
 	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("representation-mismatched constructor did not panic")
-			}
-		}()
-		NewMIHIndex(floatIx, MIHParams{})
-	}()
 }
 
 // TestIndexSpecValidateAndParse covers the config surface: kind
 // parsing, the String round-trip, and rejected parameter combinations.
 func TestIndexSpecValidateAndParse(t *testing.T) {
-	for _, k := range []IndexKind{ExactKind, MIHKind, IVFKind} {
+	for _, k := range []IndexKind{ExactKind, IVFKind} {
 		got, err := ParseIndexKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseIndexKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseIndexKind("annoy"); err == nil {
-		t.Fatal("unknown kind must error")
+	// mih is the retired multi-index hashing backend: rejected like any
+	// other unknown name.
+	for _, s := range []string{"annoy", "mih"} {
+		if _, err := ParseIndexKind(s); err == nil {
+			t.Fatalf("unknown kind %q must error", s)
+		}
 	}
 	if k, err := ParseIndexKind(""); err != nil || k != ExactKind {
 		t.Fatalf("empty kind = %v, %v", k, err)
 	}
 
 	bad := []IndexSpec{
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 12}},            // does not divide 64
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 32}},            // tables too large
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 3}}, // unsupported radius
 		{Kind: IVFKind, IVF: IVFParams{NLists: -1}},
 		{Kind: IVFKind, IVF: IVFParams{NProbe: -2}},
 		{Kind: IndexKind(99)},
@@ -217,9 +165,6 @@ func TestIndexSpecValidateAndParse(t *testing.T) {
 	}
 	good := []IndexSpec{
 		{Kind: ExactKind},
-		{Kind: MIHKind},
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 8, Radius: 2}},
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 16}}, // exact full probe
 		{Kind: IVFKind},
 		{Kind: IVFKind, IVF: IVFParams{NLists: 32, NProbe: 64}},
 	}
@@ -228,26 +173,24 @@ func TestIndexSpecValidateAndParse(t *testing.T) {
 			t.Fatalf("spec %d (%+v): %v", i, s, err)
 		}
 	}
-	if got := (IndexSpec{Kind: MIHKind}).String(); got != "mih(bits=16,radius=1)" {
-		t.Fatalf("mih spec string = %q", got)
-	}
 	if got := (IndexSpec{Kind: IVFKind}).String(); !strings.Contains(got, "ivf(") {
 		t.Fatalf("ivf spec string = %q", got)
 	}
 }
 
-// TestMixedRepresentationQueryPanics pins the backends to the flat
-// scan's error contract for mismatched queries.
+// TestMixedRepresentationQueryPanics pins the backend to the flat
+// scan's error contract for mismatched queries, over both row
+// representations.
 func TestMixedRepresentationQueryPanics(t *testing.T) {
 	r := rng.New(23)
 	binIx := NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32), randBinarySet(r, 4, 32)})
-	mih := NewMIHIndex(binIx, MIHParams{})
+	ivfBin := NewIVFIndex(binIx, IVFParams{NLists: 2, NProbe: 1})
 	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8), randFloatSet(r, 4, 6, 8)})
 	ivf := NewIVFIndex(floatIx, IVFParams{NLists: 2, NProbe: 1})
 	counts := make([]int32, 2)
 	for name, fn := range map[string]func(){
-		"mih-float-query":  func() { mih.GoodMatchCounts(randFloatSet(r, 3, 6, 8), 0.8, counts) },
-		"ivf-binary-query": func() { ivf.GoodMatchCounts(randBinarySet(r, 3, 32), 0.8, counts) },
+		"binary-ivf/float-query": func() { ivfBin.GoodMatchCounts(randFloatSet(r, 3, 6, 8), 0.8, counts) },
+		"float-ivf/binary-query": func() { ivf.GoodMatchCounts(randBinarySet(r, 3, 32), 0.8, counts) },
 	} {
 		func() {
 			defer func() {
@@ -261,9 +204,8 @@ func TestMixedRepresentationQueryPanics(t *testing.T) {
 }
 
 // TestGalleryIndexSpecPlumbing exercises the serving surface end to
-// end: SetIndexSpec builds (and caches) the right backend per kind,
-// falls back where the representation does not match, and a spec change
-// drops the stale backend.
+// end: SetIndexSpec builds (and caches) the right backend per kind for
+// both representations, and a spec change drops the stale backend.
 func TestGalleryIndexSpecPlumbing(t *testing.T) {
 	g := NewGalleryWorkers(dataset.BuildLarge(6, 3, 5), 0)
 	params := DefaultDescriptorParams()
@@ -277,34 +219,32 @@ func TestGalleryIndexSpecPlumbing(t *testing.T) {
 		t.Fatalf("default ORB backend = %v", k)
 	}
 
-	if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind}); err != nil {
+	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
 		t.Fatal(err)
 	}
-	if k := g.MatchIndexFor(ORB, params).IndexKind(); k != MIHKind {
-		t.Fatalf("ORB backend under mih spec = %v", k)
-	}
-	// SIFT rows are float: the MIH spec cannot apply and must fall back.
-	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != ExactKind {
-		t.Fatalf("SIFT backend under mih spec = %v", k)
+	// IVF quantizes both representations: binary ORB rows get the
+	// Hamming k-majority quantizer, float SIFT rows the L2 one.
+	for _, kind := range []DescriptorKind{ORB, SIFT} {
+		if mi, ok := g.MatchIndexFor(kind, params).(*IVFIndex); !ok {
+			t.Fatalf("%s backend under ivf spec = %T", kind, g.MatchIndexFor(kind, params))
+		} else if mi.Flat() != g.DescriptorIndexFor(kind, params) {
+			t.Fatalf("%s ivf backend does not wrap the family's flat index", kind)
+		}
 	}
 	mi := g.MatchIndexFor(ORB, params)
 	if again := g.MatchIndexFor(ORB, params); again != mi {
 		t.Fatal("backend not cached across calls")
 	}
 
-	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
+	// A spec change drops the stale backend.
+	if err := g.SetIndexSpec(IndexSpec{Kind: ExactKind}); err != nil {
 		t.Fatal(err)
 	}
-	// IVF quantizes both representations: binary ORB rows get the
-	// Hamming k-majority quantizer, float SIFT rows the L2 one.
-	if k := g.MatchIndexFor(ORB, params).IndexKind(); k != IVFKind {
-		t.Fatalf("ORB backend under ivf spec = %v", k)
-	}
-	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != IVFKind {
-		t.Fatalf("SIFT backend under ivf spec = %v", k)
+	if _, ok := g.MatchIndexFor(ORB, params).(*DescriptorIndex); !ok {
+		t.Fatalf("ORB backend after reset to exact = %T", g.MatchIndexFor(ORB, params))
 	}
 
-	if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind, MIH: MIHParams{SubstrBits: 12}}); err == nil {
+	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind, IVF: IVFParams{NProbe: -2}}); err == nil {
 		t.Fatal("invalid spec must be rejected")
 	}
 }
@@ -326,7 +266,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 		spec IndexSpec
 	}
 	runs := []run{
-		{ORB, fullProbeMIH},
+		{ORB, fullProbeIVF},
 		{SIFT, fullProbeIVF},
 	}
 	for _, rn := range runs {
@@ -359,8 +299,8 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 
 // TestANNDefaultSettingsRecallFloor is the recall@1 regression gate at
 // the default approximate settings: over a scaled synthetic gallery the
-// MIH and IVF predictions must agree with the exact scan on at least 95%
-// of queries — the floor the CI smoke also enforces. Queries are unseen
+// IVF SIFT predictions must agree with the exact scan on at least 95% of
+// queries — the floor the CI smoke also enforces. Queries are unseen
 // poses of the enrolled models (the serving regime: novel viewpoints of
 // known objects), rendered at 128px so views carry enough keypoints for
 // sharp match-score margins.
@@ -379,7 +319,6 @@ func TestANNDefaultSettingsRecallFloor(t *testing.T) {
 		kind DescriptorKind
 		spec IndexSpec
 	}{
-		{ORB, IndexSpec{Kind: MIHKind}},
 		{SIFT, IndexSpec{Kind: IVFKind}},
 	} {
 		p := NewDescriptor(rn.kind, 0.5)

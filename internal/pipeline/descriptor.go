@@ -17,7 +17,7 @@ import (
 type QueryStats struct {
 	Extract time.Duration // descriptor extraction (PNG-decoded image -> packed query set)
 	Match   time.Duration // index scan / approximate probe
-	Verify  time.Duration // approximate backends' exact shortlist re-scoring
+	Verify  time.Duration // approximate backend's exact shortlist re-scoring
 }
 
 // Descriptor is the §3.3 pipeline: extract SIFT, SURF or ORB features

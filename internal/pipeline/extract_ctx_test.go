@@ -178,25 +178,28 @@ func TestQueryPathAllocs(t *testing.T) {
 		})
 	}
 
-	// The traced approximate path — MIH probe, shortlist bookkeeping,
-	// exact verification, all with instrumentation on — must hold the
-	// gate too.
-	t.Run("classify/obs=on/mih", func(t *testing.T) {
+	// The traced approximate path — IVF k-majority probe over binary ORB
+	// rows, shortlist bookkeeping, exact verification, all with
+	// instrumentation on — must hold the gate too.
+	t.Run("classify/obs=on/ivf", func(t *testing.T) {
 		EnableObs(obs.NewRegistry())
 		defer DisableObs()
-		g := NewGallery(&dataset.Set{Name: "mih-alloc", Samples: sns1.Samples[:12]})
-		if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind}); err != nil {
+		g := NewGallery(&dataset.Set{Name: "ivf-alloc", Samples: sns1.Samples[:12]})
+		if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
 			t.Fatal(err)
 		}
 		p := NewDescriptor(ORB, 0.5)
 		p.Prepare(g, 1)
+		if iv, ok := g.MatchIndexFor(ORB, p.Params).(*IVFIndex); !ok || iv.full {
+			t.Fatal("gallery must build a probing IVF backend, not delegate to the flat scan")
+		}
 		for i := 0; i < 3; i++ {
 			p.Classify(img, g)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			p.Classify(img, g)
 		}); n != 0 {
-			t.Errorf("warm traced MIH Classify allocates %.1f times per query, want 0", n)
+			t.Errorf("warm traced IVF Classify allocates %.1f times per query, want 0", n)
 		}
 	})
 

@@ -104,14 +104,10 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 				panic("pipeline: inconsistent descriptor sets in index")
 			}
 		}
-		off = 0
-		for _, s := range sets {
-			if s == nil || s.Len() == 0 {
-				continue
+		for v, s := range sets {
+			if s != nil && s.Len() > 0 {
+				copy(ix.Words[ix.Starts[v]*ix.WordsPerRow:], s.Packed.Words)
 			}
-			p := s.Packed
-			copy(ix.Words[off*ix.WordsPerRow:], p.Words)
-			off += s.Len()
 		}
 		return ix
 	}
@@ -124,23 +120,38 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 		if ix.Dim == 0 {
 			ix.Dim = p.Dim
 			ix.Floats = make([]float32, total*p.Dim)
-			ix.RootNorms = make([]float32, total)
 		}
 		if p.Dim != ix.Dim || s.IsBinary() {
 			panic("pipeline: inconsistent descriptor sets in index")
 		}
 	}
-	off = 0
+	for v, s := range sets {
+		if s != nil && s.Len() > 0 {
+			copy(ix.Floats[ix.Starts[v]*ix.Dim:], s.Packed.Floats)
+		}
+	}
+	ix.setRootNorms(sets)
+	return ix
+}
+
+// setRootNorms fills a float index's per-row root norms from the sets'
+// packed squared norms and decides the norm-bound prune. An empty index
+// keeps nil norms and no prune.
+func (ix *DescriptorIndex) setRootNorms(sets []*features.Set) {
+	if ix.Len() == 0 {
+		return
+	}
+	ix.RootNorms = make([]float32, ix.Len())
 	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
-	for _, s := range sets {
+	for v, s := range sets {
 		if s == nil || s.Len() == 0 {
 			continue
 		}
 		p := s.Packed
-		copy(ix.Floats[off*ix.Dim:], p.Floats)
+		start := ix.Starts[v]
 		for i := 0; i < p.N; i++ {
 			r := sqrt32(p.Norms[i])
-			ix.RootNorms[off+i] = r
+			ix.RootNorms[start+i] = r
 			if r < lo {
 				lo = r
 			}
@@ -148,12 +159,10 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 				hi = r
 			}
 		}
-		off += s.Len()
 	}
 	// Unit-normalised galleries (SIFT, SURF) have no norm spread for
 	// the bound to exploit; keep the plain scan there.
-	ix.prune = off > 0 && hi-lo > 0.05*hi
-	return ix
+	ix.prune = hi-lo > 0.05*hi
 }
 
 // RestoreDescriptorIndex rebuilds a flat index over restored descriptor
@@ -162,7 +171,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 // must be exactly the view-order concatenation of the sets' packed rows,
 // which is how the v2 snapshot blob lays a family out; this is verified
 // by pointer identity against every set's own packed block, and any
-// mismatch (including nil storage, the v1 path) falls back to the
+// mismatch (nil, short or non-aliasing storage) falls back to the
 // copying NewDescriptorIndex build. Either way the result is
 // bit-identical to NewDescriptorIndex(sets): same Starts, same scan
 // storage bytes, same RootNorms and prune decision.
@@ -219,26 +228,7 @@ func RestoreDescriptorIndex(sets []*features.Set, floats []float32, words []uint
 		return skel
 	}
 	skel.Floats = floats
-	skel.RootNorms = make([]float32, off)
-	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
-	for v, s := range sets {
-		if s == nil || s.Len() == 0 {
-			continue
-		}
-		p := s.Packed
-		start := skel.Starts[v]
-		for i := 0; i < p.N; i++ {
-			r := sqrt32(p.Norms[i])
-			skel.RootNorms[start+i] = r
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
-		}
-	}
-	skel.prune = hi-lo > 0.05*hi
+	skel.setRootNorms(sets)
 	return skel
 }
 
@@ -298,7 +288,7 @@ func (ix *DescriptorIndex) GoodMatchCountsRange(query *features.Set, ratio float
 }
 
 // scanRange is the untraced exact scan behind GoodMatchCountsRange,
-// also the kernel the approximate backends verify shortlists with.
+// also the kernel the approximate backend verifies shortlists with.
 //
 //snmatch:noalloc
 func (ix *DescriptorIndex) scanRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {

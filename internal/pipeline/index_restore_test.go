@@ -111,7 +111,7 @@ func TestRestoreDescriptorIndexFallback(t *testing.T) {
 			t.Fatalf("%s: fallback index differs", label)
 		}
 	}
-	check("nil storage (v1 path)", RestoreDescriptorIndex(sets, nil, nil))
+	check("nil storage", RestoreDescriptorIndex(sets, nil, nil))
 	check("short storage", RestoreDescriptorIndex(sets, floats[:len(floats)-1], nil))
 	// Equal bytes, different backing array: must be detected by pointer,
 	// not value, and must still copy-build correctly.

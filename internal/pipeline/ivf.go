@@ -18,6 +18,14 @@ import (
 // centroids stay representative.
 const ivfMaxTrain = 4096
 
+// ivfIters is the Lloyd iteration count of the sampled k-means
+// training run, and ivfSeed seeds it: equal galleries build identical
+// lists on every platform.
+const (
+	ivfIters = 6
+	ivfSeed  = 1
+)
+
 // ivfHorizonScale discounts the probe horizon in the single-candidate
 // shortlist rule. The horizon (distance to the nearest unprobed
 // centroid) underestimates how far unseen rows really are — a cell's
@@ -38,10 +46,9 @@ const ivfHorizonScale = 0.5
 // sampled Lloyd k-means under L2; binary rows (ORB) train with the
 // k-majority variant — Hamming assignment, per-bit majority-vote
 // centroid update — so the quantizer adapts to however the codes
-// cluster, which keeps the probe sub-linear even on the low-entropy
-// descriptor sets that defeat fixed substring hashing (see MIHIndex). A
-// query descriptor ranks the centroids and scans only the nprobe
-// nearest lists; per-view best/second-best fold exactly like the flat
+// cluster, which keeps the probe sub-linear even on low-entropy
+// descriptor sets. A query descriptor ranks the centroids and scans
+// only the nprobe nearest lists; per-view best/second-best fold exactly like the flat
 // scan over the rows encountered, and a view contributing fewer than
 // two candidate rows is skipped (no second-neighbour denominator — the
 // rule the flat scan applies to views with fewer than two rows). The
@@ -198,13 +205,13 @@ func NewIVFIndex(ix *DescriptorIndex, p IVFParams) *IVFIndex {
 // rows: Hamming assignment, per-bit majority-vote centroid update (a
 // bit is set when at least half the members set it — the component-wise
 // median, which minimises the summed Hamming distance to the members).
-// Every step is deterministic: sample and init from the spec's seed,
+// Every step is deterministic: sample and init from ivfSeed,
 // assignment ties to the lowest index, and a memberless cluster keeps
 // its previous centroid.
 func (iv *IVFIndex) trainBinary(rows []int32, nlists int) []uint64 {
 	ix := iv.ix
 	wpr := ix.WordsPerRow
-	r := rng.New(iv.params.Seed ^ 0x1f5b1e5ced1a7a11)
+	r := rng.New(ivfSeed ^ 0x1f5b1e5ced1a7a11)
 	sample := rows
 	if len(rows) > ivfMaxTrain {
 		perm := r.Perm(len(rows))
@@ -227,15 +234,15 @@ func (iv *IVFIndex) trainBinary(rows []int32, nlists int) []uint64 {
 	assign := make([]int32, n)
 	ones := make([]int32, nlists*rowBits)
 	members := make([]int32, nlists)
-	for it := 0; it < iv.params.Iters; it++ {
+	for it := 0; it < ivfIters; it++ {
 		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
 			for i := sp.Start; i < sp.End; i++ {
 				row := int(sample[i])
 				assign[i] = iv.nearestCentroidWords(ix.Words[row*wpr : (row+1)*wpr])
 			}
 		})
-		clearInt32(ones)
-		clearInt32(members)
+		clear(ones)
+		clear(members)
 		for i, l := range assign {
 			row := int(sample[i])
 			src := ix.Words[row*wpr : (row+1)*wpr]
@@ -283,7 +290,7 @@ func (iv *IVFIndex) nearestCentroidWords(row []uint64) int32 {
 
 // train runs the seeded, sampled Lloyd iterations and returns the
 // centroid matrix. Every step is deterministic: the sample and the
-// initial centroids come from the spec's seed, assignment ties break
+// initial centroids come from ivfSeed, assignment ties break
 // to the lowest index, and centroid updates accumulate in ascending
 // sample order. A cluster that loses all members keeps its previous
 // centroid (the degenerate-duplicate-rows case collapses to one live
@@ -291,7 +298,7 @@ func (iv *IVFIndex) nearestCentroidWords(row []uint64) int32 {
 func (iv *IVFIndex) train(rows []int32, nlists int) []float32 {
 	ix := iv.ix
 	dim := ix.Dim
-	r := rng.New(iv.params.Seed ^ 0x1f5b1e5ced1a7a11)
+	r := rng.New(ivfSeed ^ 0x1f5b1e5ced1a7a11)
 	sample := rows
 	if len(rows) > ivfMaxTrain {
 		perm := r.Perm(len(rows))
@@ -313,19 +320,15 @@ func (iv *IVFIndex) train(rows []int32, nlists int) []float32 {
 	assign := make([]int32, n)
 	sums := make([]float64, nlists*dim)
 	members := make([]int32, nlists)
-	for it := 0; it < iv.params.Iters; it++ {
+	for it := 0; it < ivfIters; it++ {
 		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
 			for i := sp.Start; i < sp.End; i++ {
 				row := int(sample[i])
 				assign[i] = iv.nearestCentroid(ix.Floats[row*dim : (row+1)*dim])
 			}
 		})
-		for i := range sums {
-			sums[i] = 0
-		}
-		for l := range members {
-			members[l] = 0
-		}
+		clear(sums)
+		clear(members)
 		for i, l := range assign {
 			row := int(sample[i])
 			src := ix.Floats[row*dim : (row+1)*dim]
@@ -415,7 +418,7 @@ func (iv *IVFIndex) getScratch() *ivfScratch {
 
 func (sc *ivfScratch) next() {
 	if sc.epoch == math.MaxInt32 {
-		clearInt32(sc.viewMark)
+		clear(sc.viewMark)
 		sc.epoch = 0
 	}
 	sc.epoch++
@@ -473,7 +476,7 @@ func (iv *IVFIndex) GoodMatchCountsRange(query *features.Set, ratio float64, cou
 		tr.Add(obs.StageMatch, now.Sub(start))
 		start = now
 	}
-	pm.recordScan(IVFKind, counts, v0, v1, qp.N*iv.params.NProbe)
+	pm.recordScan(counts, v0, v1, qp.N*iv.params.NProbe)
 	verifyShortlist(iv.ix, query, ratio, counts, v0, v1)
 	if tr != nil {
 		tr.Add(obs.StageVerify, time.Since(start))

@@ -40,7 +40,7 @@ type Result struct {
 	Queue   time.Duration // enqueue-to-batch-start wait (queueing + coalescing)
 	Batch   time.Duration // batch classification wall time
 	Match   time.Duration // index-scan share (CPU time across shard workers; 0 when unknown)
-	Verify  time.Duration // shortlist re-scoring share (approximate backends only)
+	Verify  time.Duration // shortlist re-scoring share (approximate backend only)
 
 	// Err is this query's classification failure — the submitter's
 	// deadline expiring mid-batch, or a recovered pipeline panic. A
