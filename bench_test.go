@@ -11,10 +11,12 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"snmatch/internal/arena"
 	"snmatch/internal/contour"
 	"snmatch/internal/dataset"
 	"snmatch/internal/eval"
@@ -22,6 +24,7 @@ import (
 	"snmatch/internal/features"
 	"snmatch/internal/features/match"
 	"snmatch/internal/histogram"
+	"snmatch/internal/imaging"
 	"snmatch/internal/moments"
 	"snmatch/internal/nn"
 	"snmatch/internal/obs"
@@ -337,6 +340,34 @@ func BenchmarkQueryExtract(b *testing.B) {
 				ctx.Reset()
 			}
 		})
+	}
+}
+
+// BenchmarkConvolveSeparable times the Gaussian blur that builds the
+// SIFT and ORB pyramids, on a warm arena as the query path runs it. A
+// 64 px query is upsampled to 128 px, so the SIFT octaves are 128, 64,
+// 32, 16 and 8 px wide; width 40 leaves an 8-column tail after the
+// 16-column blocks.
+func BenchmarkConvolveSeparable(b *testing.B) {
+	for _, w := range []int{8, 16, 40, 64, 128} {
+		f := imaging.NewFloatGray(w, w)
+		for i := range f.Pix {
+			f.Pix[i] = float32(i%251) / 251
+		}
+		for _, radius := range []int{2, 5, 9} {
+			kernel := imaging.GaussianKernel(float64(radius)/3, radius)
+			b.Run("w="+strconv.Itoa(w)+"/r="+strconv.Itoa(radius), func(b *testing.B) {
+				a := arena.New()
+				f.ConvolveSeparableIn(a, kernel) // warm the arena
+				a.Reset()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f.ConvolveSeparableIn(a, kernel)
+					a.Reset()
+				}
+			})
+		}
 	}
 }
 

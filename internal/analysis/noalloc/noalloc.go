@@ -22,6 +22,13 @@
 //   - interface boxing of non-pointer values at call sites (pointers
 //     fit the interface word; values are heap-boxed)
 //
+// The contract has one seam the compiler cannot see through: a
+// function declared without a body is implemented in assembly, and
+// unless its declaration carries //go:noescape the compiler assumes
+// every pointer argument escapes, so whatever a slice handed to the
+// stub points to must live on the heap, even a caller's local buffer. Every body-less declaration in the
+// package must therefore carry the directive, root or not.
+//
 // The traversal is intraprocedural per package and follows only static
 // calls: a call through an interface (e.g. MatchIndex) is a contract
 // boundary — the implementation carries its own annotation.
@@ -65,7 +72,13 @@ func run(pass *framework.Pass) error {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
+				continue
+			}
+			if fd.Body == nil {
+				if !hasDirective(fd, noescape) {
+					pass.Reportf(fd.Pos(), "assembly stub %s lacks %s; without it the compiler assumes its pointer and slice arguments escape, so buffers its callers could keep on the stack move to the heap", fd.Name.Name, noescape)
+				}
 				continue
 			}
 			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -73,7 +86,7 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			decls[fn] = fd
-			if isRoot(fd) {
+			if hasDirective(fd, Directive) {
 				roots = append(roots, fn)
 			}
 		}
@@ -125,12 +138,16 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-func isRoot(fd *ast.FuncDecl) bool {
+// noescape is the compiler directive every body-less (assembly-backed)
+// function declaration must carry.
+const noescape = "//go:noescape"
+
+func hasDirective(fd *ast.FuncDecl, directive string) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == Directive {
+		if strings.TrimSpace(c.Text) == directive {
 			return true
 		}
 	}

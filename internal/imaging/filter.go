@@ -42,18 +42,20 @@ func GaussianKernelIn(a *arena.Arena, sigma float64, radius int) []float32 {
 }
 
 // ConvolveSeparable applies the 1-D kernel horizontally then vertically
-// with replicate border handling, returning a new raster. The two
-// passes are fused through a ring buffer of horizontally-convolved
-// rows, so the full intermediate raster of ConvolveH(...).ConvolveV(...)
-// is never materialised; each pass runs the same per-row kernels, so
-// the output is bit-identical to the unfused composition.
+// with replicate border handling, returning a new raster. Both passes
+// run one accumulate kernel (dst[x] = Σ_k srcs[k][x]·kernel[k], summed
+// in ascending k), so every output pixel equals the naive per-tap
+// clamped loop of the horizontal pass followed by the vertical one, bit
+// for bit. The passes are fused through a ring buffer of horizontally
+// convolved rows, so the full intermediate raster is never
+// materialised.
 func (f *FloatGray) ConvolveSeparable(kernel []float32) *FloatGray {
 	return f.ConvolveSeparableIn(nil, kernel)
 }
 
 // ConvolveSeparableIn is ConvolveSeparable with the output raster and
-// the fused-pass scratch (ring buffer, source-row table) drawn from the
-// arena.
+// the fused-pass scratch (ring buffer, padded row, tap tables) drawn
+// from the arena.
 func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *FloatGray {
 	r := len(kernel) / 2
 	k := len(kernel)
@@ -65,7 +67,15 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 	// ring holds the last k horizontally-convolved rows; row j lives at
 	// slot j%k, and the window [y-r, y+r] never exceeds k rows.
 	ring := arena.Slice[float32](a, k*w)
-	srcs := arena.Slice[[]float32](a, k)
+	// The horizontal pass reads a replicate-padded copy of each source
+	// row through k shifted views: tap i of output column x is
+	// padded[x+i], the source pixel at column clamp(x+i-r).
+	padded := arena.Slice[float32](a, w+k-1)
+	hsrcs := arena.Slice[[]float32](a, k)
+	for i := range hsrcs {
+		hsrcs[i] = padded[i : i+w]
+	}
+	vsrcs := arena.Slice[[]float32](a, k)
 	computed := -1
 	for y := 0; y < h; y++ {
 		// The window's last tap reads row y+(k-1)-r (== y+r for odd
@@ -78,8 +88,8 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 		}
 		for computed < need {
 			computed++
-			dst := ring[(computed%k)*w : (computed%k)*w+w]
-			convRowH(dst, f.Pix[computed*w:(computed+1)*w], kernel, r)
+			padRow(padded, f.Pix[computed*w:(computed+1)*w], r)
+			accumulate(ring[(computed%k)*w:(computed%k)*w+w], hsrcs, kernel)
 		}
 		for i := range kernel {
 			sy := y + i - r
@@ -88,132 +98,49 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 			} else if sy >= h {
 				sy = h - 1
 			}
-			srcs[i] = ring[(sy%k)*w : (sy%k)*w+w]
+			vsrcs[i] = ring[(sy%k)*w : (sy%k)*w+w]
 		}
-		convAccumV(out.Pix[y*w:(y+1)*w], srcs, kernel)
+		accumulate(out.Pix[y*w:(y+1)*w], vsrcs, kernel)
 	}
 	return out
 }
 
-// ConvolveH applies the 1-D kernel along rows with replicate borders.
-// Interior pixels run a branch-free window loop; only the <= radius
-// border columns pay for clamping. Per-pixel tap accumulation order is
-// unchanged (ascending kernel index), so results are bit-identical to
-// the naive per-tap clamped loop.
-func (f *FloatGray) ConvolveH(kernel []float32) *FloatGray {
-	r := len(kernel) / 2
-	out := NewFloatGray(f.W, f.H)
-	w := f.W
-	for y := 0; y < f.H; y++ {
-		convRowH(out.Pix[y*w:(y+1)*w], f.Pix[y*w:(y+1)*w], kernel, r)
+// padRow writes row into padded with r replicated copies of its first
+// pixel before it and the rest of padded filled with its last pixel.
+func padRow(padded, row []float32, r int) {
+	first, last := row[0], row[len(row)-1]
+	for i := range padded[:r] {
+		padded[i] = first
 	}
-	return out
+	tail := padded[r+copy(padded[r:], row):]
+	for i := range tail {
+		tail[i] = last
+	}
 }
 
-// convRowH convolves one row into dst. Interior pixels run eight
-// independent accumulator chains per step to keep the FP units busy;
-// each pixel still sums its taps in ascending kernel order, so the
-// result matches the naive per-tap clamped loop bit for bit.
-func convRowH(dst, row, kernel []float32, r int) {
-	w := len(row)
-	lo, hi := r, w-r
-	if hi < lo {
-		hi = lo
+// accumulate writes dst[x] = Σ_k srcs[k][x]·kernel[k] for every column,
+// each pixel summing its taps in ascending k from zero. It checks the
+// shapes the block kernel relies on, runs the architecture's blocks
+// (accumBlocks), and finishes the remaining columns with accumGo.
+func accumulate(dst []float32, srcs [][]float32, kernel []float32) {
+	if len(srcs) != len(kernel) {
+		panic("imaging: accumulate needs one source row per kernel tap")
 	}
-	for x := 0; x < lo && x < w; x++ {
-		dst[x] = convClampedTap(row, kernel, x, r)
-	}
-	x := lo
-	for ; x+8 <= hi; x += 8 {
-		base := x - r
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for k, kv := range kernel {
-			win := row[base+k : base+k+8]
-			a0 += win[0] * kv
-			a1 += win[1] * kv
-			a2 += win[2] * kv
-			a3 += win[3] * kv
-			a4 += win[4] * kv
-			a5 += win[5] * kv
-			a6 += win[6] * kv
-			a7 += win[7] * kv
+	for _, src := range srcs {
+		if len(src) < len(dst) {
+			panic("imaging: accumulate source row shorter than its destination")
 		}
-		dst[x] = a0
-		dst[x+1] = a1
-		dst[x+2] = a2
-		dst[x+3] = a3
-		dst[x+4] = a4
-		dst[x+5] = a5
-		dst[x+6] = a6
-		dst[x+7] = a7
 	}
-	for ; x < hi; x++ {
-		win := row[x-r : x-r+len(kernel)]
-		var acc float32
-		for k, kv := range kernel {
-			acc += win[k] * kv
-		}
-		dst[x] = acc
-	}
-	for x := hi; x < w; x++ {
-		dst[x] = convClampedTap(row, kernel, x, r)
-	}
+	accumGo(dst, srcs, kernel, accumBlocks(dst, srcs, kernel))
 }
 
-// convClampedTap is the replicate-border tap loop shared by the border
-// columns of ConvolveH. The taps split into a left-clamped run, an
-// in-range run and a right-clamped run — each tap contributes the same
-// product in the same (ascending k) order as the branchy per-tap clamp.
-func convClampedTap(row, kernel []float32, x, r int) float32 {
-	var acc float32
-	w := len(row)
-	k := 0
-	for kEnd := min(r-x, len(kernel)); k < kEnd; k++ {
-		acc += row[0] * kernel[k]
-	}
-	for kEnd := min(w-x+r, len(kernel)); k < kEnd; k++ {
-		acc += row[x+k-r] * kernel[k]
-	}
-	for ; k < len(kernel); k++ {
-		acc += row[w-1] * kernel[k]
-	}
-	return acc
-}
-
-// ConvolveV applies the 1-D kernel along columns with replicate borders.
-// The sweep is row-major — for every output row the contributing source
-// rows are streamed sequentially — which preserves the exact per-pixel
-// tap accumulation order (ascending kernel index, so results are
-// bit-identical to the naive column walk) while touching memory in
-// cache order.
-func (f *FloatGray) ConvolveV(kernel []float32) *FloatGray {
-	r := len(kernel) / 2
-	out := NewFloatGray(f.W, f.H)
-	w, h := f.W, f.H
-	srcs := make([][]float32, len(kernel))
-	for y := 0; y < h; y++ {
-		orow := out.Pix[y*w : (y+1)*w]
-		for k := range kernel {
-			sy := y + k - r
-			if sy < 0 {
-				sy = 0
-			} else if sy >= h {
-				sy = h - 1
-			}
-			srcs[k] = f.Pix[sy*w : sy*w+w]
-		}
-		convAccumV(orow, srcs, kernel)
-	}
-	return out
-}
-
-// convAccumV writes the vertical tap accumulation of srcs (one source
-// row per kernel tap) into dst. Blocks of eight columns accumulate in
-// registers across all taps (ascending kernel order per pixel, as in
-// the naive column walk) and store each output exactly once.
-func convAccumV(dst []float32, srcs [][]float32, kernel []float32) {
+// accumGo is the portable accumulate loop over columns [x0, len(dst)):
+// blocks of eight columns accumulate in registers across all taps and
+// store each output once, then single columns finish the row. It is
+// the reference the assembly blocks are tested against.
+func accumGo(dst []float32, srcs [][]float32, kernel []float32, x0 int) {
 	w := len(dst)
-	x := 0
+	x := x0
 	for ; x+8 <= w; x += 8 {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float32
 		for k, kv := range kernel {

@@ -2,23 +2,6 @@ package imaging
 
 import "testing"
 
-// BenchmarkConvolveSeparable tracks the Gaussian blur hot path that
-// dominates SIFT/ORB pyramid construction.
-func BenchmarkConvolveSeparable(b *testing.B) {
-	f := NewFloatGray(128, 128)
-	for i := range f.Pix {
-		f.Pix[i] = float32(i%251) / 251
-	}
-	for _, radius := range []int{2, 5, 9} {
-		kernel := GaussianKernel(float64(radius)/3, radius)
-		b.Run("r="+string(rune('0'+radius/10))+string(rune('0'+radius%10)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.ConvolveSeparable(kernel)
-			}
-		})
-	}
-}
-
 // BenchmarkSobel tracks the gradient raster path used by ORB's Harris
 // ranking.
 func BenchmarkSobel(b *testing.B) {

@@ -323,8 +323,9 @@ func TestDrawImageWithKey(t *testing.T) {
 
 // --- Bit-exactness of the optimised kernels against naive references ---
 
-// naiveConvolveH/V are the original per-pixel clamped tap loops the
-// optimised kernels must reproduce bit for bit.
+// naiveConvolveH/V are the per-pixel clamped tap loops the separable
+// convolution must reproduce bit for bit: tap k of output pixel x reads
+// source x+k-r clamped to the raster, summed in ascending k.
 func naiveConvolveH(f *FloatGray, kernel []float32) *FloatGray {
 	r := len(kernel) / 2
 	out := NewFloatGray(f.W, f.H)
@@ -332,14 +333,9 @@ func naiveConvolveH(f *FloatGray, kernel []float32) *FloatGray {
 		row := f.Pix[y*f.W : (y+1)*f.W]
 		for x := 0; x < f.W; x++ {
 			var acc float32
-			for k := -r; k <= r; k++ {
-				sx := x + k
-				if sx < 0 {
-					sx = 0
-				} else if sx >= f.W {
-					sx = f.W - 1
-				}
-				acc += row[sx] * kernel[k+r]
+			for k, kv := range kernel {
+				sx := min(max(x+k-r, 0), f.W-1)
+				acc += row[sx] * kv
 			}
 			out.Pix[y*f.W+x] = acc
 		}
@@ -353,14 +349,9 @@ func naiveConvolveV(f *FloatGray, kernel []float32) *FloatGray {
 	for y := 0; y < f.H; y++ {
 		for x := 0; x < f.W; x++ {
 			var acc float32
-			for k := -r; k <= r; k++ {
-				sy := y + k
-				if sy < 0 {
-					sy = 0
-				} else if sy >= f.H {
-					sy = f.H - 1
-				}
-				acc += f.Pix[sy*f.W+x] * kernel[k+r]
+			for k, kv := range kernel {
+				sy := min(max(y+k-r, 0), f.H-1)
+				acc += f.Pix[sy*f.W+x] * kv
 			}
 			out.Pix[y*f.W+x] = acc
 		}
@@ -398,54 +389,162 @@ func randomRaster(w, h int, seed uint32) *FloatGray {
 	return f
 }
 
+// specialRaster is randomRaster with every fifth pixel replaced by one
+// of ±0, a subnormal, ±Inf or NaN, so the accumulate paths are checked
+// on values where a reordered or fused sum would differ.
+func specialRaster(w, h int, seed uint32) *FloatGray {
+	f := randomRaster(w, h, seed)
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -3 * math.SmallestNonzeroFloat32, 1e-39,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	}
+	for i := 0; i < len(f.Pix); i += 5 {
+		f.Pix[i] = specials[(i/5)%len(specials)]
+	}
+	return f
+}
+
+// sameFloat reports whether two results are the same float32: equal
+// bits, or both NaN. Which NaN payload survives a sum of two NaNs
+// depends on x86's operand order, which the Go compiler may commute;
+// every non-NaN result, including signed zeros, must match bit for bit.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
 func rastersBitEqual(t *testing.T, label string, want, got *FloatGray) {
 	t.Helper()
 	if want.W != got.W || want.H != got.H {
 		t.Fatalf("%s: size %dx%d != %dx%d", label, got.W, got.H, want.W, want.H)
 	}
 	for i := range want.Pix {
-		if math.Float32bits(want.Pix[i]) != math.Float32bits(got.Pix[i]) {
-			t.Fatalf("%s: pixel %d = %v, want %v", label, i, got.Pix[i], want.Pix[i])
+		if !sameFloat(want.Pix[i], got.Pix[i]) {
+			t.Fatalf("%s: pixel %d = %v (%#08x), want %v (%#08x)", label, i,
+				got.Pix[i], math.Float32bits(got.Pix[i]), want.Pix[i], math.Float32bits(want.Pix[i]))
 		}
 	}
 }
 
+// convWidths covers every width up to 40 — each remainder of the
+// 16-column assembly blocks and the 8-column Go blocks — plus widths
+// around 128, the pyramid's largest octave at 64 px input.
+func convWidths() []int {
+	var ws []int
+	for w := 1; w <= 40; w++ {
+		ws = append(ws, w)
+	}
+	return append(ws, 127, 128, 129)
+}
+
+// convKernels returns Gaussian kernels of radius 0–20 followed by the
+// even-length kernels that shift the tap window asymmetrically.
+func convKernels() [][]float32 {
+	var ks [][]float32
+	for radius := 0; radius <= 20; radius++ {
+		ks = append(ks, GaussianKernel(float64(radius)/3+0.2, radius))
+	}
+	return append(ks,
+		[]float32{0.25, 0.25, 0.25, 0.25},
+		[]float32{0.5, 0.5},
+		[]float32{0.1, 0.2, 0.3, 0.2, 0.1, 0.1},
+	)
+}
+
+// TestConvolveBitIdenticalToNaive checks each pass on its own: the
+// padded-row horizontal pass and the clamped-row vertical pass, both
+// through accumulate, against the naive clamped tap loops.
 func TestConvolveBitIdenticalToNaive(t *testing.T) {
-	sizes := [][2]int{{1, 1}, {3, 3}, {4, 6}, {7, 5}, {16, 16}, {33, 9}, {64, 64}}
-	for _, sz := range sizes {
-		f := randomRaster(sz[0], sz[1], uint32(77+sz[0]*31+sz[1]))
-		for _, radius := range []int{0, 1, 2, 5, 9, 20} {
-			kernel := GaussianKernel(float64(radius)/3+0.2, radius)
-			label := "conv " + itoa(sz[0]) + "x" + itoa(sz[1]) + " r" + itoa(radius)
-			rastersBitEqual(t, label+" H", naiveConvolveH(f, kernel), f.ConvolveH(kernel))
-			rastersBitEqual(t, label+" V", naiveConvolveV(f, kernel), f.ConvolveV(kernel))
+	for _, w := range convWidths() {
+		for ki, kernel := range convKernels() {
+			r := len(kernel) / 2
+			for _, special := range []bool{false, true} {
+				h := 1 + (w+ki)%5
+				f := randomRaster(w, h, uint32(77+w*31+ki))
+				if special {
+					f = specialRaster(w, h, uint32(77+w*31+ki))
+				}
+				label := "conv w" + itoa(w) + " k" + itoa(len(kernel)) + " kernel#" + itoa(ki)
+				if special {
+					label += " special"
+				}
+
+				gotH := NewFloatGray(w, h)
+				padded := make([]float32, w+len(kernel)-1)
+				srcs := make([][]float32, len(kernel))
+				for i := range srcs {
+					srcs[i] = padded[i : i+w]
+				}
+				for y := 0; y < h; y++ {
+					padRow(padded, f.Pix[y*w:(y+1)*w], r)
+					accumulate(gotH.Pix[y*w:(y+1)*w], srcs, kernel)
+				}
+				rastersBitEqual(t, label+" H", naiveConvolveH(f, kernel), gotH)
+
+				gotV := NewFloatGray(w, h)
+				for y := 0; y < h; y++ {
+					for i := range kernel {
+						sy := min(max(y+i-r, 0), h-1)
+						srcs[i] = f.Pix[sy*w : (sy+1)*w]
+					}
+					accumulate(gotV.Pix[y*w:(y+1)*w], srcs, kernel)
+				}
+				rastersBitEqual(t, label+" V", naiveConvolveV(f, kernel), gotV)
+			}
 		}
 	}
 }
 
+// TestConvolveSeparableFusionBitIdentical requires the fused ring-buffer
+// convolution to equal the naive horizontal pass followed by the naive
+// vertical pass exactly, over every test width and kernel (even-length
+// kernels shift the window asymmetrically; the ring sizing must not
+// clobber the window's first row), on plain and special-value rasters.
 func TestConvolveSeparableFusionBitIdentical(t *testing.T) {
-	// The fused ring-buffer pass must equal the unfused H-then-V
-	// composition exactly.
-	for _, sz := range [][2]int{{1, 1}, {2, 3}, {5, 5}, {9, 16}, {64, 48}} {
-		f := randomRaster(sz[0], sz[1], uint32(101+sz[0]*7+sz[1]))
-		for _, radius := range []int{0, 1, 3, 7, 15} {
-			kernel := GaussianKernel(float64(radius)/3+0.3, radius)
-			want := f.ConvolveH(kernel).ConvolveV(kernel)
-			got := f.ConvolveSeparable(kernel)
-			label := "sep " + itoa(sz[0]) + "x" + itoa(sz[1]) + " r" + itoa(radius)
-			rastersBitEqual(t, label, want, got)
+	for _, w := range convWidths() {
+		for _, h := range []int{1, 2, 9, 23} {
+			for ki, kernel := range convKernels() {
+				seed := uint32(101 + w*7 + h + ki)
+				label := "sep " + itoa(w) + "x" + itoa(h) + " k" + itoa(len(kernel)) + " kernel#" + itoa(ki)
+				f := randomRaster(w, h, seed)
+				rastersBitEqual(t, label, naiveConvolveV(naiveConvolveH(f, kernel), kernel), f.ConvolveSeparable(kernel))
+				f = specialRaster(w, h, seed)
+				rastersBitEqual(t, label+" special", naiveConvolveV(naiveConvolveH(f, kernel), kernel), f.ConvolveSeparable(kernel))
+			}
 		}
-		// Even-length kernels shift the window asymmetrically; the
-		// fused ring sizing must not clobber the window's first row.
-		for _, kernel := range [][]float32{
-			{0.25, 0.25, 0.25, 0.25},
-			{0.5, 0.5},
-			{0.1, 0.2, 0.3, 0.2, 0.1, 0.1},
-		} {
-			want := f.ConvolveH(kernel).ConvolveV(kernel)
-			got := f.ConvolveSeparable(kernel)
-			label := "sep even-k" + itoa(len(kernel)) + " " + itoa(sz[0]) + "x" + itoa(sz[1])
-			rastersBitEqual(t, label, want, got)
+	}
+}
+
+// TestAccumulateShapeChecks pins the wrapper's checks, which keep the
+// assembly blocks from reading past a source row, and its empty-kernel
+// case, which must not enter the blocks' tap loop.
+func TestAccumulateShapeChecks(t *testing.T) {
+	row := make([]float32, 32)
+	cases := []struct {
+		name   string
+		dst    []float32
+		srcs   [][]float32
+		kernel []float32
+	}{
+		{"short source row", make([]float32, 32), [][]float32{row, row[:31], row}, []float32{0.25, 0.5, 0.25}},
+		{"fewer rows than taps", make([]float32, 32), [][]float32{row, row}, []float32{0.25, 0.5, 0.25}},
+		{"more rows than taps", make([]float32, 16), [][]float32{row, row, row}, []float32{0.5, 0.5}},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accumulate did not panic", c.name)
+				}
+			}()
+			accumulate(c.dst, c.srcs, c.kernel)
+		}()
+	}
+	dst := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	accumulate(dst, nil, nil)
+	for x, v := range dst {
+		if math.Float32bits(v) != 0 {
+			t.Fatalf("empty kernel: column %d = %v, want +0", x, v)
 		}
 	}
 }

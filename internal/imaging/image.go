@@ -346,10 +346,28 @@ func (f *FloatGray) ToGrayIn(a *arena.Arena) *Gray {
 	return g
 }
 
-// FromStdImage converts any image.Image into an Image.
+// FromStdImage converts any image.Image into an Image. An *image.RGBA —
+// what png.Decode returns for 8-bit truecolor files without alpha, the
+// encoding ToStdImage's output gets — is copied
+// straight from its Pix rows: its R, G and B bytes are exactly the
+// generic path's RGBA()>>8, premultiplied or not. Every other type goes
+// through the per-pixel color conversion.
 func FromStdImage(src image.Image) *Image {
 	b := src.Bounds()
 	out := NewImage(b.Dx(), b.Dy())
+	if rgba, ok := src.(*image.RGBA); ok {
+		for y := 0; y < out.H; y++ {
+			off := rgba.PixOffset(b.Min.X, b.Min.Y+y)
+			row := rgba.Pix[off : off+4*out.W]
+			dst := out.Pix[y*out.W*3 : (y+1)*out.W*3]
+			for x := 0; x < out.W; x++ {
+				dst[3*x] = row[4*x]
+				dst[3*x+1] = row[4*x+1]
+				dst[3*x+2] = row[4*x+2]
+			}
+		}
+		return out
+	}
 	for y := 0; y < out.H; y++ {
 		for x := 0; x < out.W; x++ {
 			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()

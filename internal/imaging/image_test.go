@@ -1,6 +1,8 @@
 package imaging
 
 import (
+	"image"
+	"image/color/palette"
 	"math"
 	"path/filepath"
 	"testing"
@@ -268,6 +270,68 @@ func TestPNGRoundTrip(t *testing.T) {
 	for i := range m.Pix {
 		if back.Pix[i] != m.Pix[i] {
 			t.Fatal("PNG round trip not lossless")
+		}
+	}
+}
+
+// genericFromStdImage is FromStdImage's per-pixel color path, the
+// reference its *image.RGBA fast path must reproduce byte for byte.
+func genericFromStdImage(src image.Image) *Image {
+	b := src.Bounds()
+	out := NewImage(b.Dx(), b.Dy())
+	for y := 0; y < out.H; y++ {
+		for x := 0; x < out.W; x++ {
+			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
+			out.Set(x, y, RGB{uint8(r >> 8), uint8(g >> 8), uint8(bl >> 8)})
+		}
+	}
+	return out
+}
+
+// TestFromStdImageMatchesGeneric covers the *image.RGBA fast path —
+// random pixels with alpha below 255, and a sub-image whose bounds do
+// not start at the origin — and the types that take the generic path.
+func TestFromStdImageMatchesGeneric(t *testing.T) {
+	s := uint32(17)
+	next := func() uint8 {
+		s = s*1664525 + 1013904223
+		return uint8(s >> 24)
+	}
+	rgba := image.NewRGBA(image.Rect(-3, 2, 30, 21))
+	for i := range rgba.Pix {
+		rgba.Pix[i] = next()
+	}
+	nrgba := image.NewNRGBA(image.Rect(0, 0, 13, 7))
+	for i := range nrgba.Pix {
+		nrgba.Pix[i] = next()
+	}
+	gray := image.NewGray(image.Rect(1, 1, 12, 9))
+	for i := range gray.Pix {
+		gray.Pix[i] = next()
+	}
+	pal := image.NewPaletted(image.Rect(0, 0, 9, 11), palette.Plan9)
+	for i := range pal.Pix {
+		pal.Pix[i] = next()
+	}
+	cases := []struct {
+		name string
+		img  image.Image
+	}{
+		{"RGBA", rgba},
+		{"RGBA sub-image", rgba.SubImage(image.Rect(4, 7, 25, 19))},
+		{"NRGBA", nrgba},
+		{"Gray", gray},
+		{"Paletted", pal},
+	}
+	for _, c := range cases {
+		want, got := genericFromStdImage(c.img), FromStdImage(c.img)
+		if got.W != want.W || got.H != want.H {
+			t.Fatalf("%s: size %dx%d, want %dx%d", c.name, got.W, got.H, want.W, want.H)
+		}
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%s: byte %d = %d, want %d", c.name, i, got.Pix[i], want.Pix[i])
+			}
 		}
 	}
 }
